@@ -8,7 +8,7 @@ solver down (see ``docs/PERFORMANCE.md``):
 
 * a jobs/s floor — the delta re-solve path must stay the fast path;
 * a full-resolve ceiling — once warm, every re-solve must ride the
-  delta/short-circuit/cached paths, never a from-scratch rebuild.
+  delta or cached paths, never a from-scratch rebuild.
 
 Results land in ``BENCH_sched.json`` at the repo root.
 """
@@ -55,8 +55,8 @@ _TRIALS = 5
 _JOBS_PER_S_FLOOR = 1_500.0
 
 #: regression ceiling on from-scratch solves.  The first allocation after
-#: a fresh arbiter is necessarily full; everything after must be a delta,
-#: short-circuit, or cached re-solve.
+#: a fresh arbiter is necessarily full; everything after must be a delta
+#: or cached re-solve.
 _MAX_FULL_RESOLVES = 2
 
 

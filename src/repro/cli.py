@@ -252,9 +252,9 @@ def _cmd_sched(args) -> int:
     from repro.faults import FaultPlan
     from repro.sched import FacilityScheduler, JobMix, QosPolicy, generate_jobs
 
-    if args.duration <= 0:
+    if not args.duration > 0:
         raise CliError("--duration must be positive")
-    if args.rate_scale <= 0:
+    if not args.rate_scale > 0:
         raise CliError("--rate-scale must be positive")
     if args.faults < 0:
         raise CliError("--faults must be non-negative")
@@ -353,6 +353,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _check_threshold(args) -> None:
+    """Reject a degradation threshold outside (0, 1), NaN included,
+    before any system is built."""
+    if not 0 < args.threshold < 1:
+        raise CliError("--threshold must be in (0, 1)")
+
+
 def _cmd_chaos(args) -> int:
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import build_spider1, build_spider2
@@ -363,6 +370,7 @@ def _cmd_chaos(args) -> int:
         incident_2010_scenario,
     )
 
+    _check_threshold(args)
     # The 2010 incident needs the five-enclosure Spider I geometry to
     # reproduce the RAID-tolerance breach; the other scenarios run on
     # Spider II.
@@ -437,6 +445,7 @@ def _cmd_resilience(args) -> int:
     from repro.faults import FaultPlan, cable_failure_scenario
     from repro.resilience import run_paired_study
 
+    _check_threshold(args)
     seed = args.seed
     if args.scenario == "cable":
         plan_factory = cable_failure_scenario
@@ -492,8 +501,9 @@ def _cmd_monitor(args) -> int:
 
     if args.faults < 0:
         raise CliError("--faults must be non-negative")
-    if args.duration <= 0:
+    if not args.duration > 0:
         raise CliError("--duration must be positive")
+    _check_threshold(args)
     try:
         config = OverlayConfig(
             scrape_interval=args.scrape_interval,
@@ -622,12 +632,16 @@ def _cmd_storm(args) -> int:
 
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import SPIDER2, build_spider2
-    from repro.network.storm import run_storm_study
+    from repro.network.storm import STORM_WINDOW, run_storm_study
 
     if args.clients < 1 or args.stripe < 1:
         raise CliError("--clients and --stripe must be positive")
-    if args.link_bw <= 0:
+    if not args.link_bw > 0:
         raise CliError("--link-bw must be positive")
+    start, end = STORM_WINDOW
+    if not args.duration >= end:
+        raise CliError(f"--duration must be at least {end:,.0f} s to hold "
+                       f"the fixed {start:,.0f}-{end:,.0f} s storm window")
     if not 0 < args.shed <= 1:
         raise CliError("--shed must be in (0, 1]")
     # The storm regime is scarce row bandwidth: the default --link-bw

@@ -39,10 +39,7 @@ under the comp<->flow incidence relation.  By construction no flow outside
 the closure crosses a component inside it, so the closure is an independent
 subproblem of the global max-min allocation (which is unique and decomposes
 over disconnected regions) — frozen rates elsewhere are reused verbatim.
-When no component in the closure can saturate (every finite demand sum sits
-strictly under capacity and no unbounded-demand flow crosses it), the
-analytic short-circuit applies: rates follow directly from demands, no
-filling at all.  The four resolve paths are counted in
+The three resolve paths (:data:`RESOLVE_PATHS`) are counted in
 :attr:`FlowNetwork.solve_counts` and, when telemetry is enabled, in the
 :data:`RESOLVE_COUNTERS` telemetry counters.  The cost model for each path
 is documented in ``docs/PERFORMANCE.md``.
@@ -74,30 +71,23 @@ import numpy as np
 from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer
 
-__all__ = ["FlowNetwork", "FlowResult", "Epoch", "RESOLVE_COUNTERS"]
+__all__ = ["FlowNetwork", "FlowResult", "Epoch", "RESOLVE_PATHS",
+           "RESOLVE_COUNTERS"]
 
 _EPS = 1e-9
-
-#: relative headroom a closure component must keep for the analytic
-#: short-circuit — strict, so a demand sum sitting exactly at capacity
-#: still goes through progressive filling like a scratch solve would
-_SHORTCIRCUIT_MARGIN = 1e-9
 
 #: subproblems with at most this many (flow, component) incidences run on
 #: the scalar kernel, whose python-loop constants beat numpy call overhead
 #: by roughly an order of magnitude at this size
 _SCALAR_NNZ_MAX = 1024
 
+#: the resolve paths a solve can take: ``full`` = from-scratch fill,
+#: ``delta`` = dirty-closure re-fill, ``cached`` = no dirty state, the
+#: previous result is returned
+RESOLVE_PATHS = ("full", "delta", "cached")
+
 #: telemetry counter emitted per solve, keyed by the resolve path taken
-#: (``full`` = from-scratch fill, ``delta`` = dirty-closure re-fill,
-#: ``shortcircuit`` = analytic uncongested path, ``cached`` = no dirty
-#: state, the previous result is returned)
-RESOLVE_COUNTERS = (
-    "flow.resolve.full",
-    "flow.resolve.delta",
-    "flow.resolve.shortcircuit",
-    "flow.resolve.cached",
-)
+RESOLVE_COUNTERS = tuple(f"flow.resolve.{path}" for path in RESOLVE_PATHS)
 
 
 class FlowResult:
@@ -110,9 +100,10 @@ class FlowResult:
     pay for dicts nobody reads.  ``bottlenecks`` maps each saturated
     component to its capacity; on an incremental solve it carries the
     merged view (components saturated by earlier solves and still binding,
-    plus the ones the re-filled region saturated), and ``rounds`` /
-    ``saturation_order`` describe the *last* fill only (a short-circuited
-    or cached solve reports its inherited order and ``rounds=0``).
+    plus the ones the re-filled region saturated), and
+    ``saturation_order`` lists that merged set.  ``rounds`` counts the
+    *last* fill only: a cached solve repeats it, and a delta whose
+    closure holds no flow reports 0.
     """
 
     __slots__ = (
@@ -209,6 +200,35 @@ def _grown(buf: np.ndarray, n: int) -> np.ndarray:
     out = np.empty(max(16, 2 * buf.shape[0]))
     out[:buf.shape[0]] = buf
     return out
+
+
+def _check_capacity(name: str, capacity: float) -> None:
+    """Reject a negative or NaN capacity (``inf`` is legal: never binds)."""
+    if not capacity >= 0:
+        raise ValueError(
+            f"capacity for {name!r} must be non-negative, got {capacity}")
+
+
+def _check_demand(demand: float) -> None:
+    """Reject a negative or NaN demand (``inf`` is legal: unbounded)."""
+    if not demand >= 0:
+        raise ValueError(f"demand must be non-negative, got {demand}")
+
+
+def _build_csr(
+    paths: list[tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence of ``paths`` (flow -> component ids): ``(indptr,
+    indices, flow_of_entry)``, the layout :func:`_fill_vector` walks."""
+    n = len(paths)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices_list: list[int] = []
+    for i, path in enumerate(paths):
+        indices_list.extend(path)
+        indptr[i + 1] = len(indices_list)
+    indices = np.array(indices_list, dtype=np.int64)
+    flow_of_entry = np.repeat(np.arange(n), np.diff(indptr))
+    return indptr, indices, flow_of_entry
 
 
 def _fill_scalar(
@@ -511,11 +531,6 @@ class FlowNetwork:
         self._caps_list: list[float] = []
         self._load = np.empty(16)
         self._comp_flows: list[set[str]] = []
-        #: per-component sum of finite member demands / count of
-        #: infinite-demand members, maintained incrementally for the
-        #: short-circuit feasibility check
-        self._demand_load: list[float] = []
-        self._inf_count: list[int] = []
         # flows (dict order == slot order of the parallel buffers).  The
         # python-list mirrors of demands/weights/paths feed the scalar
         # kernel without per-solve tolist conversions; the numpy buffers
@@ -561,11 +576,10 @@ class FlowNetwork:
         self._last_rounds = 0
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._result_cache: FlowResult | None = None
-        #: cumulative count of solves by resolve path (``full`` /
-        #: ``delta`` / ``shortcircuit`` / ``cached``), independent of
-        #: telemetry — the benchmark regression gate reads this
-        self.solve_counts: dict[str, int] = {
-            "full": 0, "delta": 0, "shortcircuit": 0, "cached": 0}
+        #: cumulative count of solves by resolve path
+        #: (:data:`RESOLVE_PATHS`), independent of telemetry — the
+        #: benchmark regression gate reads this
+        self.solve_counts: dict[str, int] = dict.fromkeys(RESOLVE_PATHS, 0)
 
     # -- construction and delta operations ----------------------------------------
 
@@ -574,8 +588,7 @@ class FlowNetwork:
         by what-if analyses such as controller upgrades), which dirties
         the dependent solver state instead of silently keeping stale
         bookkeeping."""
-        if capacity < 0:
-            raise ValueError(f"negative capacity for {name!r}")
+        _check_capacity(name, capacity)
         i = self._comp_id.get(name)
         if i is not None:
             self.set_capacity(name, capacity)
@@ -589,8 +602,6 @@ class FlowNetwork:
         self._caps_list.append(float(capacity))
         self._load[i] = 0.0
         self._comp_flows.append(set())
-        self._demand_load.append(0.0)
-        self._inf_count.append(0)
         self._comp_w.append(0.0)
         self._comp_nf.append(0)
         self._result_cache = None
@@ -600,8 +611,7 @@ class FlowNetwork:
 
         A no-op (nothing dirtied) when the capacity is unchanged.
         """
-        if capacity < 0:
-            raise ValueError(f"negative capacity for {name!r}")
+        _check_capacity(name, capacity)
         i = self._comp_id[name]
         capacity = float(capacity)
         if self._caps_list[i] == capacity:
@@ -631,10 +641,10 @@ class FlowNetwork:
         """
         if name in self._flows:
             raise ValueError(f"duplicate flow name {name!r}")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        if demand < 0:
-            raise ValueError("demand must be non-negative")
+        if not 0.0 < weight < math.inf:
+            raise ValueError(
+                f"weight must be finite and positive, got {weight}")
+        _check_demand(demand)
         comp_id = self._comp_id
         # Paths are a handful of components, so a list membership test
         # beats building a set for the dedup.
@@ -690,16 +700,11 @@ class FlowNetwork:
         self._order_keys.insert(pos, key)
         self._order.insert(pos, i)
         self._nnz += len(path_ids)
-        finite = math.isfinite(demand)
         dirty = self._dirty
         comp_nf = self._comp_nf
         for c in path_ids:
             self._comp_flows[c].add(name)
             comp_nf[c] += 1
-            if finite:
-                self._demand_load[c] += demand
-            else:
-                self._inf_count[c] += 1
             dirty.add(c)
         self._csr = None
         self._result_cache = None
@@ -745,16 +750,11 @@ class FlowNetwork:
             if v > i:
                 order[k] = v - 1
         self._nnz -= len(rec.path)
-        finite = math.isfinite(demand)
         dirty = self._dirty
         comp_nf = self._comp_nf
         for c in rec.path:
             self._comp_flows[c].discard(name)
             comp_nf[c] -= 1
-            if finite:
-                self._demand_load[c] -= demand
-            else:
-                self._inf_count[c] -= 1
             dirty.add(c)
         self._csr = None
         self._result_cache = None
@@ -764,8 +764,7 @@ class FlowNetwork:
 
         A no-op (nothing dirtied) when the demand is unchanged.
         """
-        if demand < 0:
-            raise ValueError("demand must be non-negative")
+        _check_demand(demand)
         rec = self._flows[name]
         if not rec.path and math.isinf(demand):
             raise ValueError(
@@ -813,19 +812,7 @@ class FlowNetwork:
         pos = bisect_right(keys, key)
         keys.insert(pos, key)
         order.insert(pos, i)
-        old_finite = math.isfinite(old)
-        new_finite = math.isfinite(demand)
-        dirty = self._dirty
-        for c in rec.path:
-            if old_finite:
-                self._demand_load[c] -= old
-            else:
-                self._inf_count[c] -= 1
-            if new_finite:
-                self._demand_load[c] += demand
-            else:
-                self._inf_count[c] += 1
-            dirty.add(c)
+        self._dirty.update(rec.path)
         if not rec.path:
             self._rates[rec.idx] = demand
         self._result_cache = None
@@ -871,20 +858,10 @@ class FlowNetwork:
         """Weighted max-min allocation by (incremental) progressive filling.
 
         Dispatches on the solver state: ``full`` when no previous solution
-        exists, ``cached`` when nothing changed since the last solve,
-        ``shortcircuit`` when no dirty-closure component can saturate, and
-        ``delta`` (a re-fill restricted to the closure) otherwise.
+        exists, ``cached`` when nothing changed since the last solve, and
+        ``delta`` (a re-fill restricted to the dirty closure) otherwise.
         """
-        if not self._has_solution:
-            self._last_rounds = self._solve_entire()
-            path = "full"
-        elif self._dirty:
-            path, self._last_rounds = self._solve_delta()
-        else:
-            path = "cached"
-        self._dirty.clear()
-        self._has_solution = True
-        self.solve_counts[path] += 1
+        path = self._dispatch()
         result = self._result_cache
         if result is None:
             result = self._result_cache = self._build_result()
@@ -905,17 +882,24 @@ class FlowNetwork:
         """
         if get_telemetry().enabled:
             return self.solve().rates
+        self._dispatch()
+        return self._rates[:len(self._flows)].copy()
+
+    def _dispatch(self) -> str:
+        """Bring the rates up to date along one resolve path; returns the
+        path's :data:`RESOLVE_PATHS` name after counting it."""
         if not self._has_solution:
             self._last_rounds = self._solve_entire()
             path = "full"
         elif self._dirty:
-            path, self._last_rounds = self._solve_delta()
+            self._last_rounds = self._solve_delta()
+            path = "delta"
         else:
             path = "cached"
         self._dirty.clear()
         self._has_solution = True
         self.solve_counts[path] += 1
-        return self._rates[:len(self._flows)].copy()
+        return path
 
     def _solve_entire(self) -> int:
         """From-scratch fill over every component and flow; returns rounds."""
@@ -936,10 +920,9 @@ class FlowNetwork:
             self._rates[:n] = rates
             self._load_valid = False
         else:
-            indptr, indices, flow_of_entry = self._csr_incidence()
             rates, load, sat, rounds = _fill_vector(
                 self._caps[:m], self._demands[:n], self._weights[:n],
-                indptr, indices, flow_of_entry)
+                *self._csr_incidence())
             self._rates[:n] = rates
             self._load[:m] = load
             self._load_valid = True
@@ -948,20 +931,10 @@ class FlowNetwork:
         self._bottlenecks = {names[c]: float(caps[c]) for c in sat}
         return rounds
 
-    def _csr_incidence(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR incidence (flow -> component ids), cached across solves."""
+    def _csr_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR incidence of every flow, cached across solves."""
         if self._csr is None:
-            n = len(self._flows)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices_list: list[int] = []
-            for i, path in enumerate(self._paths_list):
-                indices_list.extend(path)
-                indptr[i + 1] = len(indices_list)
-            indices = np.array(indices_list, dtype=np.int64)
-            flow_of_entry = np.repeat(np.arange(n), np.diff(indptr))
-            self._csr = (indptr, indices, flow_of_entry)
+            self._csr = _build_csr(self._paths_list)
         return self._csr
 
     def _closure(self) -> tuple[set[int], set[str], bool]:
@@ -992,8 +965,8 @@ class FlowNetwork:
                             stack.append(fc)
         return comps, flows, False
 
-    def _solve_delta(self) -> tuple[str, int]:
-        """Re-solve only the connected dirty region; returns (path, rounds).
+    def _solve_delta(self) -> int:
+        """Re-solve only the connected dirty region; returns rounds.
 
         Correctness: by closure construction no flow outside the region
         crosses a component inside it, so the region is an independent
@@ -1007,29 +980,10 @@ class FlowNetwork:
         comp_nf = self._comp_nf
         for c in self._dirty:
             if comp_nf[c] == n_flows:
-                return "delta", self._solve_entire()
+                return self._solve_entire()
         comps, flow_names, entire = self._closure()
         if entire:
-            return "delta", self._solve_entire()
-        # Analytic short-circuit: if no closure component can saturate
-        # (finite demands strictly under capacity, no unbounded flows),
-        # rates follow directly from demands.
-        caps = self._caps
-        demand_load = self._demand_load
-        inf_count = self._inf_count
-        if all(inf_count[c] == 0
-               and demand_load[c] < caps[c] * (1.0 - _SHORTCIRCUIT_MARGIN)
-               for c in comps):
-            flows = self._flows
-            demands = self._demands
-            rates = self._rates
-            for fname in flow_names:
-                i = flows[fname].idx
-                rates[i] = demands[i]
-            for c in comps:
-                self._load[c] = demand_load[c]
-                self._bottlenecks.pop(self._comp_names[c], None)
-            return "shortcircuit", 0
+            return self._solve_entire()
         # Restricted re-fill over the closure, at full capacities (no flow
         # outside the closure consumes them).
         flows = self._flows
@@ -1053,27 +1007,20 @@ class FlowNetwork:
             self._rates[idx] = rates
             self._load_valid = False
         else:
-            n_sub = len(order)
-            indptr = np.zeros(n_sub + 1, dtype=np.int64)
-            indices_list: list[int] = []
-            for i, p in enumerate(paths):
-                indices_list.extend(p)
-                indptr[i + 1] = len(indices_list)
-            indices = np.array(indices_list, dtype=np.int64)
-            flow_of_entry = np.repeat(np.arange(n_sub), np.diff(indptr))
             rates, load, sat, rounds = _fill_vector(
                 caps_local, self._demands[idx], self._weights[idx],
-                indptr, indices, flow_of_entry)
+                *_build_csr(paths))
             self._rates[idx] = rates
             for k, c in enumerate(comp_list):
                 self._load[c] = load[k]
         names = self._comp_names
         for c in comp_list:
             self._bottlenecks.pop(names[c], None)
+        caps = self._caps
         for k in sat:
             c = comp_list[k]
             self._bottlenecks[names[c]] = float(caps[c])
-        return "delta", rounds
+        return rounds
 
     def _build_result(self) -> FlowResult:
         """Snapshot the solver state into an immutable :class:`FlowResult`."""

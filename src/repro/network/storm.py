@@ -54,10 +54,13 @@ if TYPE_CHECKING:
     from repro.core.spider import SpiderSystem
 
 __all__ = ["StormSample", "StormArm", "StormStudyResult", "run_storm_study",
-           "STORM_CLASS"]
+           "STORM_CLASS", "STORM_WINDOW"]
 
 #: the QoS class label of storm transfers (the shed target)
 STORM_CLASS = "storm"
+
+#: default ``(storm_start, storm_end)`` of the A19 timeline (seconds)
+STORM_WINDOW = (1200.0, 6600.0)
 
 #: rate floor when converting a starved probe's rate into a latency
 _RATE_FLOOR = 1.0
@@ -343,8 +346,8 @@ def run_storm_study(
     n_storm_clients: int = 24,
     stripe: int = 16,
     duration: float = 7200.0,
-    storm_start: float = 1200.0,
-    storm_end: float = 6600.0,
+    storm_start: float = STORM_WINDOW[0],
+    storm_end: float = STORM_WINDOW[1],
     sample_interval: float = 60.0,
     request_bytes: float = 1 * GB,
     shed_fraction: float = 0.05,

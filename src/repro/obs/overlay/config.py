@@ -61,17 +61,18 @@ class OverlayConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scrape_interval <= 0:
+        # Written as "not in range" so NaN fails each check too.
+        if not self.scrape_interval > 0:
             raise ValueError("scrape_interval must be positive")
-        if self.hop_latency < 0:
+        if not self.hop_latency >= 0:
             raise ValueError("hop_latency must be non-negative")
         if self.fan_in < 2:
             raise ValueError("fan_in must be at least 2")
         if not (0 <= self.loss_probability < 1):
             raise ValueError("loss_probability must be in [0, 1)")
-        if self.rollup_interval <= 0:
+        if not self.rollup_interval > 0:
             raise ValueError("rollup_interval must be positive")
-        if self.staleness_limit is not None and self.staleness_limit <= 0:
+        if self.staleness_limit is not None and not self.staleness_limit > 0:
             raise ValueError("staleness_limit must be positive")
 
     @property

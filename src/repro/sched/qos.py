@@ -169,7 +169,8 @@ class BandwidthArbiter:
 
     @property
     def solve_counts(self) -> dict[str, int]:
-        """Cumulative solve counts by resolve path (see ``FlowNetwork``)."""
+        """Cumulative solve counts keyed by
+        :data:`~repro.core.flow.RESOLVE_PATHS` (see ``FlowNetwork``)."""
         return self._net.solve_counts
 
     @property

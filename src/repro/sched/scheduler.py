@@ -618,10 +618,9 @@ class FacilityScheduler:
     def solve_counts(self) -> dict[str, int]:
         """Cumulative arbiter re-solve counts by resolve path.
 
-        Keys are the :data:`~repro.core.flow.RESOLVE_COUNTERS` suffixes
-        (``full`` / ``delta`` / ``shortcircuit`` / ``cached``); the
-        benchmark regression gate asserts a ceiling on ``full`` — see
-        ``docs/PERFORMANCE.md``.
+        Keys are the :data:`~repro.core.flow.RESOLVE_PATHS` names
+        (``full`` / ``delta`` / ``cached``); the benchmark regression
+        gate asserts a ceiling on ``full`` — see ``docs/PERFORMANCE.md``.
         """
         return self._arbiter.solve_counts
 

@@ -239,6 +239,23 @@ class TestErrorPaths:
         assert main(["report", str(empty)]) == 1
         assert "no telemetry snapshot" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["storm", "--duration", "600"], "1,200-6,600 s storm window"),
+        (["storm", "--duration", "nan"], "--duration"),
+        (["storm", "--link-bw", "nan"], "--link-bw"),
+        (["sched", "--duration", "nan"], "--duration"),
+        (["sched", "--rate-scale", "nan"], "--rate-scale"),
+        (["chaos", "--threshold", "nan"], "--threshold"),
+        (["resilience", "--threshold", "nan"], "--threshold"),
+        (["monitor", "--threshold", "2"], "--threshold"),
+        (["monitor", "--scrape-interval", "nan"], "scrape_interval"),
+    ])
+    def test_bad_numeric_flag_is_one_line_failure(self, argv, needle, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spider-repro: ") and err.count("\n") == 1
+        assert needle in err
+
     def test_unwritable_trace_path_fails_before_running(self, capsys):
         assert main(["chaos", "--scenario", "cable",
                      "--trace", "/no/such/dir/t.json"]) == 1

@@ -145,6 +145,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             net.add_component("c", -1.0)
 
+    @pytest.mark.parametrize("bad_call", [
+        lambda net: net.add_component("d", math.nan),
+        lambda net: net.set_capacity("c", math.nan),
+        lambda net: net.add_flow("g", ["c"], demand=math.nan),
+        lambda net: net.set_demand("f", math.nan),
+        lambda net: net.add_flow("g", ["c"], weight=math.nan),
+        lambda net: net.add_flow("g", ["c"], weight=math.inf),
+    ], ids=["add_component-nan-capacity", "set_capacity-nan",
+            "add_flow-nan-demand", "set_demand-nan", "add_flow-nan-weight",
+            "add_flow-inf-weight"])
+    def test_non_finite_inputs_rejected(self, bad_call):
+        net = FlowNetwork()
+        net.add_component("c", 10.0)
+        net.add_flow("f", ["c"], demand=5.0)
+        with pytest.raises(ValueError):
+            bad_call(net)
+        # The rejected call left the network as it was; inf capacity and
+        # inf demand stay legal.
+        net.add_component("e", math.inf)
+        net.add_flow("h", ["c", "e"], demand=math.inf)
+        assert net.solve().rates.tolist() == [5.0, 5.0]
+
     def test_empty_path_unbounded_demand_rejected(self):
         net = FlowNetwork()
         with pytest.raises(ValueError):

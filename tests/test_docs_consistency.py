@@ -286,3 +286,53 @@ def test_design_rule_table_matches_registry():
         "DESIGN.md §8 rule table is out of step with the registry: "
         f"stale={sorted(documented - rules)}, "
         f"undocumented={sorted(rules - documented)}")
+
+
+def _living_docs() -> dict[str, str]:
+    """The docs that describe the code as it is now (the change log and
+    planning files record history and are left out)."""
+    paths = [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+             *sorted((REPO / "docs").glob("*.md"))]
+    return {str(p.relative_to(REPO)): p.read_text() for p in paths}
+
+
+def test_docs_name_only_live_resolve_counters():
+    # Reverse direction of the counter check above: a deleted resolve
+    # path may not linger in the docs.
+    import re
+
+    from repro.core.flow import RESOLVE_COUNTERS
+
+    stale = sorted(
+        (doc, name)
+        for doc, text in _living_docs().items()
+        for name in set(re.findall(r"flow\.resolve\.[a-z_]+", text))
+        if name not in RESOLVE_COUNTERS)
+    assert not stale, (
+        f"docs name resolve counter(s) absent from RESOLVE_COUNTERS: {stale}")
+
+
+def test_every_bench_record_has_a_reproduce_command():
+    """docs/PERFORMANCE.md §5 gives the pytest command that rewrites each
+    checked-in BENCH_*.json record."""
+    import re
+
+    performance = (REPO / "docs" / "PERFORMANCE.md").read_text()
+    match = re.search(r"^## 5\..*?(?=^## )", performance, re.M | re.S)
+    assert match, "docs/PERFORMANCE.md lost §5 (reproducing a record)"
+    section = match.group(0)
+    writers = {}
+    for bench in sorted((REPO / "benchmarks").glob("test_*.py")):
+        found = re.search(r'^BENCH_PATH = .*"(BENCH_\w+\.json)"$',
+                          bench.read_text(), re.M)
+        if found:
+            writers[found.group(1)] = bench.name
+    records = sorted(p.name for p in REPO.glob("BENCH_*.json"))
+    unwritten = [r for r in records if r not in writers]
+    assert not unwritten, (
+        f"no benchmarks/ module writes record(s) {unwritten}")
+    missing = [
+        r for r in records
+        if f"python -m pytest benchmarks/{writers[r]} -q" not in section]
+    assert not missing, (
+        f"docs/PERFORMANCE.md §5 has no reproduce command for {missing}")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.flow import Epoch, FlowNetwork
+from repro.core.flow import RESOLVE_PATHS, Epoch, FlowNetwork
 
 #: relative tolerance between delta and scratch rates: the two solvers
 #: may freeze flows in different orders, so sums associate differently
@@ -87,7 +87,7 @@ def test_random_delta_sequence_matches_scratch(seed):
 
     counts = net.solve_counts
     assert counts["full"] >= 1
-    assert counts["delta"] + counts["shortcircuit"] + counts["cached"] > 0
+    assert counts["delta"] + counts["cached"] > 0
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -197,10 +197,29 @@ def test_solve_counts_classify_the_resolve_paths():
     assert net.solve_counts["full"] == 1
     net.solve()  # nothing dirty
     assert net.solve_counts["cached"] == 1
-    net.set_capacity("spare", 90.0)  # slack region: analytic short-circuit
-    net.solve()
-    assert net.solve_counts["shortcircuit"] == 1
+    net.set_capacity("spare", 90.0)  # slack region: restricted re-fill
+    _assert_rates_match(net.solve(), _scratch_clone(net).solve())
+    assert net.solve_counts["delta"] == 1
     net.set_capacity("shared", 6.0)  # contended region: restricted re-fill
     net.solve()
-    assert net.solve_counts["delta"] == 1
+    assert net.solve_counts["delta"] == 2
     _assert_rates_match(net.solve(), _scratch_clone(net).solve())
+    assert set(net.solve_counts) == set(RESOLVE_PATHS)
+
+
+def test_empty_closure_delta_keeps_rates():
+    """A capacity change on a component no flow crosses is a delta whose
+    closure holds no flow: zero filling rounds, every rate bit-identical."""
+    net = FlowNetwork()
+    net.add_component("shared", 10.0)
+    net.add_component("idle", 50.0)
+    net.add_flow("f0", ["shared"], demand=8.0)
+    net.add_flow("f1", ["shared"], demand=math.inf, weight=2.0)
+    before = net.solve()
+    net.set_capacity("idle", 20.0)
+    after = net.solve()
+    assert net.solve_counts == {"full": 1, "delta": 1, "cached": 0}
+    assert after.rounds == 0
+    assert after.rates.tobytes() == before.rates.tobytes()
+    assert after.component_load == before.component_load
+    assert after.bottlenecks == before.bottlenecks
