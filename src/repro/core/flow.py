@@ -95,21 +95,21 @@ class FlowResult:
 
     ``rates`` is a per-flow allocated rate array (bytes/s) aligned with
     ``flow_names``.  The per-component views (``component_load``,
-    ``component_capacity``) are snapshots taken at solve time but
-    materialized into dicts lazily — large networks solved in a loop never
-    pay for dicts nobody reads.  ``bottlenecks`` maps each saturated
-    component to its capacity; on an incremental solve it carries the
-    merged view (components saturated by earlier solves and still binding,
-    plus the ones the re-filled region saturated), and
-    ``saturation_order`` lists that merged set.  ``rounds`` counts the
-    *last* fill only: a cached solve repeats it, and a delta whose
-    closure holds no flow reports 0.
+    ``component_capacity``, ``component_utilization``) are snapshots taken
+    at solve time but materialized into dicts lazily — large networks
+    solved in a loop never pay for dicts nobody reads.  ``bottlenecks``
+    maps each saturated component to its capacity; on an incremental
+    solve it carries the merged view (components saturated by earlier
+    solves and still binding, plus the ones the re-filled region
+    saturated), and ``saturation_order`` lists that merged set.
+    ``rounds`` counts the *last* fill only: a cached solve repeats it, and
+    a delta whose closure holds no flow reports 0.
     """
 
     __slots__ = (
         "rates", "flow_names", "bottlenecks", "rounds", "saturation_order",
         "_comp_names", "_n_comp", "_load_arr", "_cap_arr",
-        "_load_dict", "_cap_dict",
+        "_load_dict", "_cap_dict", "_util_dict",
     )
 
     def __init__(
@@ -137,6 +137,7 @@ class FlowResult:
         self._cap_arr = cap_arr
         self._load_dict: dict[str, float] | None = None
         self._cap_dict: dict[str, float] | None = None
+        self._util_dict: dict[str, float] | None = None
 
     @property
     def component_load(self) -> dict[str, float]:
@@ -173,14 +174,26 @@ class FlowResult:
         names = self._comp_names
         return [names[i] for i in np.flatnonzero(hit).tolist()]
 
+    @property
+    def component_utilization(self) -> dict[str, float]:
+        """Per-component load / capacity, materialized on first access in
+        one pass: a zero-capacity component reads 1.0 when loaded and 0.0
+        when idle, an infinite-capacity one reads 0.0."""
+        if self._util_dict is None:
+            cap = self._cap_arr
+            load = self._load_arr
+            with np.errstate(divide="ignore", invalid="ignore"):
+                util = np.where(
+                    cap == 0, np.where(load > 0, 1.0, 0.0),
+                    np.where(np.isinf(cap), 0.0, load / cap))
+            self._util_dict = dict(zip(self._comp_names[:self._n_comp],
+                                       util.tolist()))
+        return self._util_dict
+
     def utilization(self, component: str) -> float:
-        """Load / capacity of ``component`` (0.0 for infinite capacity)."""
-        cap = self.component_capacity[component]
-        if cap == 0:
-            return 1.0 if self.component_load[component] > 0 else 0.0
-        if math.isinf(cap):
-            return 0.0
-        return self.component_load[component] / cap
+        """Load / capacity of ``component`` (0.0 for infinite capacity);
+        ``KeyError`` for a component the network does not hold."""
+        return self.component_utilization[component]
 
 
 class _FlowRec:

@@ -307,10 +307,7 @@ class PathBuilder:
         monitoring path (windowed, delayed, lossy), never directly."""
         if self._last_result is None:
             return 0.0
-        try:
-            return float(self._last_result.utilization(component))
-        except KeyError:
-            return 0.0
+        return self._last_result.component_utilization.get(component, 0.0)
 
     def record_flow_telemetry(self, result: FlowResult, duration: float) -> None:
         """Attribute a solved allocation back to the layers it crossed.

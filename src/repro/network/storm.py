@@ -43,7 +43,7 @@ from repro.network.routing import (
     FlowletSpec,
     LinkStatsFeed,
 )
-from repro.network.torus import AXIS_ORDERS, Torus3D
+from repro.network.torus import AXIS_ORDERS, LinkId, Torus3D
 from repro.obs.overlay.config import OverlayConfig
 from repro.obs.overlay.runtime import MonitoringOverlay
 from repro.obs.overlay.scraper import routing_probes
@@ -240,16 +240,22 @@ def _watched_components(system: "SpiderSystem",
     """Every component a storm path could cross, under any equal-cost
     choice: all serving routers plus the torus links of every (client,
     router, axis order) candidate path.  This is the probe surface the
-    overlay samples — a superset, so re-hash targets are observed too."""
-    comps: set[str] = set()
+    overlay samples — a superset, so re-hash targets are observed too.
+
+    A torus route depends only on its end coordinates, and routers and
+    storm clients share few of them (several routers per Gemini, several
+    readers per row node), so each distinct (client coordinate, router
+    coordinate, axis order) triple is routed once and each distinct link
+    named once."""
     torus = system.torus
-    for router in system.routers:
-        comps.add(f"router:{router.name}")
-        for client in clients:
+    router_coords = sorted({router.coord for router in system.routers})
+    links: set[LinkId] = set()
+    for src in sorted({client.coord for client in clients}):
+        for dst in router_coords:
             for order in AXIS_ORDERS:
-                for link in torus.route_links_ordered(
-                        client.coord, router.coord, order):
-                    comps.add(Torus3D.link_component(link))
+                links.update(torus.route_links_ordered(src, dst, order))
+    comps = {f"router:{router.name}" for router in system.routers}
+    comps.update(Torus3D.link_component(link) for link in sorted(links))
     return sorted(comps)
 
 

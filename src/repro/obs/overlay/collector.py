@@ -10,10 +10,11 @@ rate for counter probes — and streams them into a
 
 Two invariants the test suite enforces:
 
-* **Ingest-order independence** — folds operate on samples sorted by
-  ``(metric, source, sampled_at, value)`` and per-source freshness is a
-  max, so delivering the same window's batches in any order produces
-  bit-identical rollups (the same boundary contract as the PR 5
+* **Ingest-order independence** — a window close keeps, per
+  ``(metric, source)``, the sample and stale counts and the maximum
+  ``(sampled_at, value)``, then walks the distinct keys in sorted order,
+  so delivering the same window's batches in any order produces
+  bit-identical rollups (the same boundary contract as the
   ``LustreHealthChecker`` partition).
 * **Telemetry neutrality** — only ``mon.`` metrics enter rollups;
   mirrored telemetry gauges update the overlay-view gauges (the
@@ -124,38 +125,46 @@ class CollectorSink:
         """Fold the buffered samples into per-metric rollups at ``now``.
 
         Returns the new rollups (also appended to :attr:`rollups`).
-        Folding sorts the buffer first, so the result is independent of
-        batch arrival order within the window.
+        One pass over the buffer keeps, per (metric, source), the sample
+        count, the stale count and the freshest sample: the maximum
+        ``(sampled_at, value)``.  Only the distinct keys are sorted
+        afterwards, so the result is independent of batch arrival order
+        within the window.
         """
-        window = sorted(
-            (s for s in self._buffer if s.metric.startswith(PROBE_PREFIX)),
-            key=lambda s: (s.metric, s.source, s.sampled_at, s.value))
-        mirrored = sorted(
-            (s for s in self._buffer if not s.metric.startswith(PROBE_PREFIX)),
-            key=lambda s: (s.metric, s.source, s.sampled_at, s.value))
+        staleness_limit = self.staleness_limit
+        # per (metric, source): [samples, stale, sampled_at, value]
+        fold: dict[tuple[str, str], list] = {}
+        for metric, source, value, sampled_at in self._buffer:
+            stale = now - sampled_at > staleness_limit
+            entry = fold.get((metric, source))
+            if entry is None:
+                fold[(metric, source)] = [1, stale, sampled_at, value]
+                continue
+            entry[0] += 1
+            entry[1] += stale
+            if (sampled_at, value) >= (entry[2], entry[3]):
+                entry[2] = sampled_at
+                entry[3] = value
         self._buffer.clear()
 
-        # Freshest sample per (metric, source): last in sort order.
-        for sample in window:
-            self._view[(sample.metric, sample.source)] = (
-                sample.value, sample.sampled_at)
-        for sample in mirrored:
-            self._mirror[(sample.metric, sample.source)] = (
-                sample.value, sample.sampled_at)
-
-        per_metric: dict[str, list[Sample]] = {}
-        for sample in window:
-            per_metric.setdefault(sample.metric, []).append(sample)
+        # Sorted keys: the view, the mirror and the per-metric value
+        # lists fill in (metric, source) order whatever the arrivals.
+        per_metric: dict[str, tuple[list[int], list[float]]] = {}
+        for key in sorted(fold):
+            n, stale, sampled_at, value = fold[key]
+            metric = key[0]
+            if not metric.startswith(PROBE_PREFIX):
+                self._mirror[key] = (value, sampled_at)
+                continue
+            self._view[key] = (value, sampled_at)
+            counts, values = per_metric.setdefault(metric, ([0, 0], []))
+            counts[0] += n
+            counts[1] += stale
+            values.append(value)
 
         new_rollups = []
-        for metric in sorted(per_metric):
-            samples = per_metric[metric]
-            n_stale = sum(1 for s in samples
-                          if now - s.sampled_at > self.staleness_limit)
-            fresh: dict[str, float] = {}
-            for s in samples:  # sorted: later samples overwrite earlier
-                fresh[s.source] = s.value
-            values = sorted(fresh.values())
+        for metric, ((n_samples, n_stale), fresh) in per_metric.items():
+            values = sorted(fresh)
             rate = 0.0
             if metric in self.counter_metrics:
                 total = sum(values)
@@ -172,7 +181,7 @@ class CollectorSink:
                 window_end=now,
                 metric=metric,
                 n_sources=len(values),
-                n_samples=len(samples),
+                n_samples=n_samples,
                 n_stale=n_stale,
                 rate=rate,
                 mean=sum(values) / len(values),
@@ -180,7 +189,7 @@ class CollectorSink:
                 p99=_percentile(values, 99.0),
             )
             new_rollups.append(rollup)
-            self.n_samples += len(samples)
+            self.n_samples += n_samples
             self.n_stale += n_stale
         self.rollups.extend(new_rollups)
         self.n_windows += 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.flow import FlowNetwork
+from repro.core.flow import FlowNetwork, FlowResult
 
 
 def simple_net(cap, flows):
@@ -117,6 +117,28 @@ class TestResultApi:
         net.add_flow("f", ["inf"], demand=5.0)
         res = net.solve()
         assert res.utilization("inf") == 0.0
+
+    def test_utilization_map_matches_scalar_rule(self):
+        names = ["finite", "zero_loaded", "zero_idle", "inf", "idle"]
+        load = np.array([3.0, 2.0, 0.0, 7.0, 0.0])
+        cap = np.array([7.0, 0.0, 0.0, math.inf, 4.0])
+        res = FlowResult(np.empty(0), [], names, load, cap, {}, 0, ())
+
+        def scalar(l, c):
+            if c == 0:
+                return 1.0 if l > 0 else 0.0
+            return 0.0 if math.isinf(c) else l / c
+
+        want = {n: scalar(l, c) for n, l, c in zip(names, load.tolist(),
+                                                   cap.tolist())}
+        assert want == {"finite": 3.0 / 7.0, "zero_loaded": 1.0,
+                        "zero_idle": 0.0, "inf": 0.0, "idle": 0.0}
+        assert res.component_utilization == want
+        assert all(type(v) is float for v in res.component_utilization.values())
+        for name in names:
+            assert res.utilization(name) == want[name]
+        with pytest.raises(KeyError):
+            res.utilization("missing")
 
 
 class TestValidation:

@@ -166,6 +166,26 @@ class TestIncrementalResolve:
         mini_system.fabric.repair_cable(name)
         self._assert_matches_fresh(mini_system, builder, transfers)
 
+    def test_link_utilization_reads_the_latest_resolve(self, mini_system):
+        transfers = [
+            Transfer(f"u{i}", mini_system.clients[i], (0,), demand=math.inf)
+            for i in range(4)
+        ]
+        builder = PathBuilder(mini_system, fs_level=True)
+        assert builder.link_utilization("couplet:0") == 0.0  # no resolve yet
+        first = builder.resolve(transfers)
+        assert builder.link_utilization("no-such-link") == 0.0
+        before = builder.link_utilization("couplet:0")
+        assert before == first.utilization("couplet:0") > 0.0
+        # Halve the couplet: a capacity delta on the same network.
+        mini_system.ssus[0].couplet.fail_controller(0)
+        second = builder.resolve(transfers)
+        for comp in second.component_capacity:
+            assert builder.link_utilization(comp) == second.utilization(comp)
+        assert (second.component_capacity["couplet:0"]
+                < first.component_capacity["couplet:0"])
+        assert builder.link_utilization("couplet:0") != before
+
     def test_different_transfer_list_rebuilds(self, mini_system):
         transfers = self._transfers(mini_system)
         builder = PathBuilder(mini_system, fs_level=True)

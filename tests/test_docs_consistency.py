@@ -336,3 +336,25 @@ def test_every_bench_record_has_a_reproduce_command():
         if f"python -m pytest benchmarks/{writers[r]} -q" not in section]
     assert not missing, (
         f"docs/PERFORMANCE.md §5 has no reproduce command for {missing}")
+
+
+def test_storm_hot_path_names_live_symbols():
+    """docs/PERFORMANCE.md §7 names the storm hot path's code as
+    ``path/to/module.py::Symbol``; every one must still exist, so a
+    rename cannot leave the section describing code that is gone."""
+    import importlib
+    import re
+
+    performance = (REPO / "docs" / "PERFORMANCE.md").read_text()
+    match = re.search(r"^## 7\..*?(?=^## |\Z)", performance, re.M | re.S)
+    assert match, "docs/PERFORMANCE.md lost §7 (the storm hot path)"
+    refs = re.findall(r"`([\w/]+)\.py::([\w.]+)`", match.group(0))
+    assert len(refs) >= 4, "§7 should name the hot path's code symbols"
+    missing = []
+    for path, symbol in refs:
+        obj = importlib.import_module("repro." + path.replace("/", "."))
+        for attr in symbol.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{path}.py::{symbol}")
+    assert not missing, f"§7 names symbol(s) that do not exist: {missing}"

@@ -4,6 +4,8 @@ alerting, and the non-omniscient observed detector."""
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.faults import FaultCampaign
 from repro.faults.events import FaultClass, PlannedFault
 from repro.faults.plan import cable_failure_scenario
 from repro.obs.instruments import Telemetry, use_telemetry
+from repro.obs.overlay.collector import Rollup, _percentile
 from repro.obs.overlay import (
     AggregationTree,
     AlertEngine,
@@ -156,7 +159,108 @@ def _batch(metric, source, value, at):
     return (Sample(metric, source, value, at),)
 
 
+def _sorted_fold_oracle(buffer, now, sink, state):
+    """Reference window close: sort every sample by (metric, source,
+    sampled_at, value) and let the last one per key win.  ``state``
+    holds the oracle's view, mirror and counter history across windows."""
+    view, mirror, counter_last = state
+    order = operator.attrgetter("metric", "source", "sampled_at", "value")
+    window = sorted((s for s in buffer if s.metric.startswith("mon.")),
+                    key=order)
+    for s in sorted((s for s in buffer if not s.metric.startswith("mon.")),
+                    key=order):
+        mirror[(s.metric, s.source)] = (s.value, s.sampled_at)
+    per_metric = {}
+    for s in window:
+        view[(s.metric, s.source)] = (s.value, s.sampled_at)
+        per_metric.setdefault(s.metric, []).append(s)
+    rollups = []
+    for metric in sorted(per_metric):
+        samples = per_metric[metric]
+        values = sorted({s.source: s.value for s in samples}.values())
+        rate = 0.0
+        if metric in sink.counter_metrics:
+            total = sum(values)
+            last = counter_last.get(metric)
+            if last is not None and now - last[0] > 0 and total >= last[1]:
+                rate = (total - last[1]) / (now - last[0])
+            counter_last[metric] = (now, total)
+        n_stale = sum(1 for s in samples
+                      if now - s.sampled_at > sink.staleness_limit)
+        rollups.append(Rollup(now, metric, len(values), len(samples), n_stale,
+                              rate, sum(values) / len(values), values[-1],
+                              _percentile(values, 99.0)))
+    return rollups
+
+
+def _random_window(rng, end):
+    """One window's batches: ``sampled_at`` ties with different values,
+    stale samples, a counter that resets in the third window, and
+    mirrored ``flow.layer.*`` gauges."""
+    counter_base = {60.0: 100.0, 120.0: 400.0, 180.0: 50.0}[end]
+    metrics = ("mon.g", "mon.h", "mon.c", "flow.layer.load",
+               "flow.layer.capacity")
+    batches = []
+    for _ in range(40):
+        batch = []
+        for _ in range(rng.randint(1, 6)):
+            metric = rng.choice(metrics)
+            value = (counter_base + rng.choice((0.0, 1.0, 5.0))
+                     if metric == "mon.c"
+                     else rng.choice((0.0, -0.0, 0.25, 1.0, 3.0)))
+            batch.append(Sample(metric, rng.choice("abcd"), value,
+                                end - rng.choice((110.0, 50.0, 20.0, 5.0))))
+        batches.append(tuple(batch))
+    return batches
+
+
 class TestCollectorSink:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_pass_fold_matches_sorted_oracle(self, seed):
+        rng = random.Random(seed)
+        sink = CollectorSink(rollup_interval=60.0, staleness_limit=45.0,
+                             counter_metrics=frozenset({"mon.c"}))
+        state = ({}, {}, {})
+        n_samples = n_stale = 0
+        counter_rates = []
+        telemetry = Telemetry(enabled=True)
+        for end in (60.0, 120.0, 180.0):
+            batches = _random_window(rng, end)
+            buffer = [s for batch in batches for s in batch]
+            keyed = {}
+            for s in buffer:
+                keyed.setdefault((s.metric, s.source, s.sampled_at),
+                                 set()).add(s.value)
+            assert any(len(v) > 1 for v in keyed.values())  # real ties
+            assert any(end - s.sampled_at > 45.0 for s in buffer)
+            for batch in batches:
+                sink.deliver(batch, end)
+            with use_telemetry(telemetry):
+                got = sink.close_window(end)
+            want = _sorted_fold_oracle(buffer, end, sink, state)
+            assert repr(got) == repr(want) and got == want
+            view, mirror, _ = state
+            assert repr(list(sink.view().items())) == repr(list(view.items()))
+            assert list(sink._mirror.items()) == list(mirror.items())
+            counter_rates += [r.rate for r in want if r.metric == "mon.c"]
+            n_samples += sum(r.n_samples for r in want)
+            n_stale += sum(r.n_stale for r in want)
+            assert (sink.n_samples, sink.n_stale) == (n_samples, n_stale)
+            expected_gauges = {}
+            for (metric, source), (value, at) in sorted(mirror.items()):
+                if metric == "flow.layer.load":
+                    expected_gauges[("overlay.view.load", source)] = value
+                    expected_gauges[("overlay.view.age_seconds",
+                                     source)] = end - at
+                else:
+                    expected_gauges[("overlay.view.capacity", source)] = value
+            assert {(g.name, g.source): g.value
+                    for g in telemetry.gauges()
+                    if g.name.startswith("overlay.view.")} == expected_gauges
+        # no history, a positive rate, then the reset restarts the window
+        assert counter_rates[0] == 0.0 < counter_rates[1]
+        assert counter_rates[2] == 0.0
+
     def test_ingest_order_independence(self):
         batches = [
             _batch("mon.x", "a", 1.0, 10.0),

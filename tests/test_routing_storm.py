@@ -15,9 +15,12 @@ from tests.conftest import mini_spec
 from repro.core.spider import SpiderSystem
 from repro.network.storm import (
     StormStudyResult,
+    _make_clients,
     _probe_coord,
+    _watched_components,
     run_storm_study,
 )
+from repro.network.torus import AXIS_ORDERS, Torus3D
 from repro.obs.instruments import Telemetry, use_telemetry
 from repro.units import GB
 
@@ -44,6 +47,53 @@ class TestProbePlacement:
         dims = mini_system.torus.dims
         _x, y, z = _probe_coord(mini_system)
         assert (y, z) == (dims[1] // 2, dims[2] // 2)
+
+
+def _brute_force_watched(system, clients):
+    """The watched set walked per (client, router, axis order), with no
+    sharing across equal coordinates."""
+    comps = set()
+    for router in system.routers:
+        comps.add(f"router:{router.name}")
+        for client in clients:
+            for order in AXIS_ORDERS:
+                for link in system.torus.route_links_ordered(
+                        client.coord, router.coord, order):
+                    comps.add(Torus3D.link_component(link))
+    return sorted(comps)
+
+
+class TestWatchedComponents:
+    def test_equals_per_client_walk_on_spider2(self, spider2_session):
+        # More storm clients than row nodes, so client coordinates
+        # repeat, as they do on every shipped storm run.
+        n_storm = spider2_session.torus.dims[0] + 3
+        probe, storm = _make_clients(spider2_session, n_storm)
+        clients = [probe] + storm
+        assert len({c.coord for c in clients}) < len(clients)
+        assert (_watched_components(spider2_session, clients)
+                == _brute_force_watched(spider2_session, clients))
+
+    def test_routes_each_distinct_coordinate_triple_once(
+            self, mini_system, monkeypatch):
+        probe, storm = _make_clients(mini_system, 24)
+        clients = [probe] + storm
+        calls = []
+        route = Torus3D.route_links_ordered
+
+        def counting(self, src, dst, order):
+            calls.append((src, dst, order))
+            return route(self, src, dst, order)
+
+        monkeypatch.setattr(Torus3D, "route_links_ordered", counting)
+        _watched_components(mini_system, clients)
+        n_client_coords = len({c.coord for c in clients})
+        n_router_coords = len({r.coord for r in mini_system.routers})
+        assert len(calls) == len(set(calls)) == (
+            n_client_coords * n_router_coords * len(AXIS_ORDERS))
+        # The census must be smaller than the per-router walk it replaces.
+        assert len(calls) < (len(clients) * len(mini_system.routers)
+                             * len(AXIS_ORDERS))
 
 
 class TestStormHeadline:
