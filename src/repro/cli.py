@@ -353,6 +353,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _check_fault_window(args) -> None:
+    """Reject a negative ``--faults`` or a non-positive ``--duration``,
+    NaN included, before any system is built."""
+    if args.faults < 0:
+        raise CliError("--faults must be non-negative")
+    if not args.duration > 0:
+        raise CliError("--duration must be positive")
+
+
 def _check_threshold(args) -> None:
     """Reject a degradation threshold outside (0, 1), NaN included,
     before any system is built."""
@@ -370,6 +379,7 @@ def _cmd_chaos(args) -> int:
         incident_2010_scenario,
     )
 
+    _check_fault_window(args)
     _check_threshold(args)
     # The 2010 incident needs the five-enclosure Spider I geometry to
     # reproduce the RAID-tolerance breach; the other scenarios run on
@@ -445,6 +455,7 @@ def _cmd_resilience(args) -> int:
     from repro.faults import FaultPlan, cable_failure_scenario
     from repro.resilience import run_paired_study
 
+    _check_fault_window(args)
     _check_threshold(args)
     seed = args.seed
     if args.scenario == "cable":
@@ -499,10 +510,7 @@ def _cmd_monitor(args) -> int:
     )
     from repro.resilience import RemediationPolicy
 
-    if args.faults < 0:
-        raise CliError("--faults must be non-negative")
-    if not args.duration > 0:
-        raise CliError("--duration must be positive")
+    _check_fault_window(args)
     _check_threshold(args)
     try:
         config = OverlayConfig(

@@ -89,6 +89,9 @@ class PathBuilder:
         self._resolved_transfers: list[Transfer] | None = None
         self._routing_fp: bytes | None = None
         self._last_result: FlowResult | None = None
+        #: the OST capacity vector last pushed into the built network, the
+        #: base :meth:`_refresh_capacities` diffs against
+        self._ost_caps: np.ndarray | None = None
         # solve counts of networks this builder has retired; rebuilds swap
         # in a fresh FlowNetwork, so the property below folds these in to
         # stay cumulative across the builder's lifetime
@@ -110,6 +113,7 @@ class PathBuilder:
         ost_caps = sys.ost_flow_capacities(fs_level=self.fs_level)
         for ost, cap in zip(sys.osts, ost_caps):
             net.add_component(ost.component, float(cap))
+        self._ost_caps = ost_caps
 
     def _client_components(self, net: FlowNetwork, client: Client) -> list[str]:
         comps = [client.component]
@@ -249,6 +253,13 @@ class PathBuilder:
         level).  Router, OSS, client, switch, and torus-link capacities
         are spec constants and stay untouched; unchanged values are
         no-ops inside the network, dirtying nothing.
+
+        OSTs are most of the pushed components and a fault moves a
+        handful, so only the entries that differ from the vector last
+        pushed reach ``set_capacity``.  An invalid entry always differs
+        from the legal value last pushed (``nan != nan``, and no negative
+        value was ever accepted), so the network's input checks still
+        see it.
         """
         sys = self.system
         sys.fabric.refresh_components(net)
@@ -256,8 +267,10 @@ class PathBuilder:
             net.set_capacity(f"couplet:{i}",
                              ssu.couplet.bw_cap(fs_level=self.fs_level))
         ost_caps = sys.ost_flow_capacities(fs_level=self.fs_level)
-        for ost, cap in zip(sys.osts, ost_caps):
-            net.set_capacity(ost.component, float(cap))
+        osts = sys.osts
+        for i in np.flatnonzero(ost_caps != self._ost_caps).tolist():
+            net.set_capacity(osts[i].component, float(ost_caps[i]))
+        self._ost_caps = ost_caps
 
     def router_usage(self) -> dict[str, int]:
         """Flows per router from the most recent :meth:`build`."""

@@ -28,6 +28,15 @@ from repro.sim.rng import RngStreams
 
 __all__ = ["SsuSpec", "Ssu"]
 
+#: per-group redundancy-state bandwidth multiplier (see
+#: :meth:`Ssu.group_state_factors`)
+_STATE_FACTOR = {
+    RaidState.CLEAN: 1.0,
+    RaidState.DEGRADED: 0.6,
+    RaidState.REBUILDING: 0.6,
+    RaidState.FAILED: 0.0,
+}
+
 
 @dataclass(frozen=True)
 class SsuSpec:
@@ -128,12 +137,7 @@ class Ssu:
         """Per-group redundancy-state multiplier: 1 clean, 0.6 while
         degraded/rebuilding (reconstruction competes with host I/O), 0 for
         a failed group (it moves nothing)."""
-        return np.array([
-            0.0 if g.state is RaidState.FAILED
-            else (0.6 if g.state in (RaidState.DEGRADED, RaidState.REBUILDING)
-                  else 1.0)
-            for g in self.groups
-        ])
+        return np.array([_STATE_FACTOR[g.state] for g in self.groups])
 
     def group_raw_bandwidths(self, disk_bw: np.ndarray) -> np.ndarray:
         """Per-group raw streaming bandwidth with redundancy state applied.

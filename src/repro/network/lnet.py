@@ -35,6 +35,10 @@ from repro.obs.instruments import get_telemetry
 __all__ = ["RouterInfo", "LnetConfig", "RoutingPolicy", "FineGrainedRouting",
            "RoundRobinRouting", "record_routed_bytes"]
 
+#: a client's router zone for one destination leaf: ``(torus distance,
+#: router name, router index)`` triples sorted by (distance, name)
+_Zone = tuple[tuple[int, str, int], ...]
+
 
 def record_routed_bytes(router_name: str, nbytes: float) -> None:
     """Account bytes routed through one LNET router (the per-router counter
@@ -76,6 +80,11 @@ class LnetConfig:
         #: routing-table liveness: a router that died (§IV-D) is removed
         #: from every policy's candidate set until marked online again
         self._online = np.ones(len(self.routers), dtype=bool)
+        #: leaf -> {(client coord, slack): zone} — the route table
+        #: :meth:`zone` fills; a leaf's entries drop when one of its
+        #: routers changes liveness (a rebuild then recomputes one leaf's
+        #: zones, not every leaf's)
+        self._zones: dict[int, dict[tuple[Coord, float], _Zone]] = {}
 
     def routers_for_leaf(self, leaf: int) -> list[RouterInfo]:
         return [self.routers[i] for i in self._by_leaf.get(leaf, [])]
@@ -87,8 +96,15 @@ class LnetConfig:
 
     def set_router_online(self, name: str, online: bool) -> None:
         """Mark one router up/down in the routing tables (the LNET view of
-        a router failure; the fabric-side cable is a separate component)."""
-        self._online[self._index_of[name]] = online
+        a router failure; the fabric-side cable is a separate component).
+
+        Only a real flip touches the zone table, and only the zones of
+        the router's own leaf: no other leaf's zone can contain it.
+        """
+        i = self._index_of[name]
+        if bool(self._online[i]) != bool(online):
+            self._online[i] = online
+            self._zones.pop(self.routers[i].leaf, None)
 
     def router_online(self, name: str) -> bool:
         return bool(self._online[self._index_of[name]])
@@ -103,9 +119,38 @@ class LnetConfig:
         """
         return self._online.tobytes()
 
-    def online_indices(self, candidates: list[int]) -> list[int]:
-        """Filter a candidate index list down to live routers."""
-        return [i for i in candidates if self._online[i]]
+    # -- the route table ---------------------------------------------------------
+
+    def zone(self, client: Coord, dst_leaf: int, slack: float) -> _Zone:
+        """The client's router *zone* for destination leaf ``dst_leaf``.
+
+        The online routers of the leaf within ``slack`` torus hops of the
+        nearest online one, as ``(distance, name, index)`` sorted by
+        (distance, name) — an explicit identity key, so the zone is
+        invariant under the insertion order of the router list.
+        ``slack=math.inf`` is the whole online leaf.
+
+        A zone depends only on topology and router liveness, so it is a
+        table lookup: computed once per (client coordinate, leaf, slack)
+        and kept until a router of that leaf goes down or comes back
+        (:meth:`set_router_online`).  Raises :class:`LookupError` when no
+        online router serves the leaf.
+        """
+        table = self._zones.get(dst_leaf)
+        zone = None if table is None else table.get((client, slack))
+        if zone is None:
+            candidates = [i for i in self._by_leaf.get(dst_leaf, [])
+                          if self._online[i]]
+            if not candidates:
+                raise LookupError(f"no router serves leaf {dst_leaf}")
+            dists = self.torus.distances_from(
+                client, self._coords[candidates]).tolist()
+            cutoff = min(dists) + slack
+            zone = tuple(sorted(
+                (d, self.routers[i].name, i)
+                for d, i in zip(dists, candidates) if d <= cutoff))
+            self._zones.setdefault(dst_leaf, {})[client, slack] = zone
+        return zone
 
 
 class RoutingPolicy:
@@ -157,14 +202,15 @@ class FineGrainedRouting(RoutingPolicy):
 
     Among the routers whose InfiniBand NI sits on the destination leaf
     switch, consider those within ``slack`` torus hops of the nearest one
-    (the client's router *zone*), and pick the least-loaded of them —
-    zones in the production FGR configuration are sized so client
-    assignments balance across a leaf's routers rather than piling onto
-    the single geometrically nearest one.  Ties break by distance, then
-    router *name* — an explicit identity key, so the selection is
-    invariant under the insertion order of the router list (tie-breaking
-    by list position would silently re-route whenever inventory
-    enumeration order changed).
+    (the client's router *zone*, read from the route table
+    :meth:`LnetConfig.zone`), and pick the least-loaded of them — zones
+    in the production FGR configuration are sized so client assignments
+    balance across a leaf's routers rather than piling onto the single
+    geometrically nearest one.  Ties break by distance, then router
+    *name* — an explicit identity key, so the selection is invariant
+    under the insertion order of the router list (tie-breaking by list
+    position would silently re-route whenever inventory enumeration
+    order changed).
     """
 
     name = "fgr"
@@ -174,27 +220,19 @@ class FineGrainedRouting(RoutingPolicy):
         if slack < 0:
             raise ValueError("slack must be non-negative")
         self.slack = slack
-        self._load = np.zeros(len(config.routers), dtype=np.int64)
+        self._load = [0] * len(config.routers)
 
     def select_router(self, client: Coord, dst_leaf: int) -> RouterInfo:
-        candidates = self.config.online_indices(
-            self.config._by_leaf.get(dst_leaf, []))
-        if not candidates:
-            raise LookupError(f"no router serves leaf {dst_leaf}")
-        coords = self.config._coords[candidates]
-        dists = self.config.torus.distances_from(client, coords)
-        near_mask = dists <= dists.min() + self.slack
-        routers = self.config.routers
-        near = [(int(self._load[candidates[i]]), int(dists[i]),
-                 routers[candidates[i]].name, candidates[i])
-                for i in np.flatnonzero(near_mask)]
-        _load, _dist, _name, pick = min(near)
-        self._load[pick] += 1
-        return routers[pick]
+        load = self._load
+        _load, _dist, _name, pick = min(
+            (load[i], d, name, i)
+            for d, name, i in self.config.zone(client, dst_leaf, self.slack))
+        load[pick] += 1
+        return self.config.routers[pick]
 
     def reset(self) -> None:
         """Zero the per-router load counts (see :meth:`RoutingPolicy.reset`)."""
-        self._load[:] = 0
+        self._load = [0] * len(self.config.routers)
 
 
 class RoundRobinRouting(RoutingPolicy):

@@ -249,6 +249,14 @@ class TestErrorPaths:
         (["resilience", "--threshold", "nan"], "--threshold"),
         (["monitor", "--threshold", "2"], "--threshold"),
         (["monitor", "--scrape-interval", "nan"], "scrape_interval"),
+        (["chaos", "--faults", "-1"], "--faults"),
+        (["chaos", "--duration", "-5"], "--duration"),
+        (["chaos", "--duration", "nan"], "--duration"),
+        (["resilience", "--scenario", "week", "--faults", "-3"], "--faults"),
+        (["resilience", "--scenario", "week", "--duration", "0"],
+         "--duration"),
+        (["resilience", "--scenario", "week", "--duration", "nan"],
+         "--duration"),
     ])
     def test_bad_numeric_flag_is_one_line_failure(self, argv, needle, capsys):
         assert main(argv) == 1

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.path import PathBuilder, Transfer
+from repro.faults import INJECTORS, FaultClass, PlannedFault
 from repro.network.lnet import RoundRobinRouting
 from repro.units import GB
 
@@ -193,3 +195,78 @@ class TestIncrementalResolve:
         first_net = builder._net
         builder.resolve(list(transfers))  # equal content, different object
         assert builder._net is not first_net
+
+
+class TestDiffedRefresh:
+    """A resolve pushes only the OST capacities that moved since the last
+    push; the kept network must still hold every current capacity and
+    solve exactly like a fresh build."""
+
+    def test_random_capacity_faults_between_resolves(self, mini_system):
+        system = mini_system
+        rng = np.random.default_rng(2014)
+        transfers = [
+            Transfer(f"d{i}", system.clients[(i * 5) % len(system.clients)],
+                     (i % len(system.osts),), demand=2 * GB)
+            for i in range(2 * len(system.osts))
+        ]
+        builder = PathBuilder(system, fs_level=True)
+        builder.resolve(transfers)
+        n_disks = system.spec.n_ssus * system.spec.ssu.n_disks
+        failed: dict[int, PlannedFault] = {}
+        rebuilding: list = []
+        fills: dict[int, int] = {}
+        moved_steps = 0
+        disk_fail = INJECTORS[FaultClass.DISK_FAIL]
+        for _step in range(60):
+            before = system.ost_flow_capacities(fs_level=True)
+            # Repairs are drawn as often as onsets, so capacities also
+            # return to values pushed earlier, not only move away.
+            kind = int(rng.integers(6))
+            if kind == 0:  # a disk fails
+                disk = int(rng.integers(n_disks))
+                if disk not in failed:
+                    failed[disk] = PlannedFault(0.0, FaultClass.DISK_FAIL,
+                                                disk)
+                    disk_fail.inject(system, failed[disk])
+            elif kind == 1 and failed:  # a failed disk is swapped
+                disk = sorted(failed)[int(rng.integers(len(failed)))]
+                _t, finish = disk_fail.repair(system, failed.pop(disk), None)
+                rebuilding.append(finish)
+            elif kind == 2 and rebuilding:  # a rebuild completes
+                rebuilding.pop(int(rng.integers(len(rebuilding))))()
+            elif kind == 3:  # an OST fills past the knee
+                ost = int(rng.integers(len(system.osts)))
+                if ost not in fills:
+                    fault = PlannedFault(0.0, FaultClass.OST_FILL, ost,
+                                         magnitude=float(rng.uniform(0.5, 1)))
+                    fills[ost] = INJECTORS[FaultClass.OST_FILL].inject(
+                        system, fault)
+            elif kind == 4 and fills:  # a full OST is drained
+                ost = sorted(fills)[int(rng.integers(len(fills)))]
+                system.osts[ost].release(fills.pop(ost))
+            elif kind == 5:  # controller failover or failback
+                couplet = system.ssus[int(rng.integers(len(system.ssus)))
+                                      ].couplet
+                if not couplet.controllers[0].online:
+                    couplet.restore_controller(0)
+                else:
+                    couplet.fail_controller(0)
+            caps = system.ost_flow_capacities(fs_level=True)
+            moved_steps += bool(np.any(caps != before))
+
+            result = builder.resolve(transfers)
+            for target, cap in zip(system.osts, caps):
+                assert builder._net.capacity_of(target.component) == \
+                    float(cap)
+            fresh = PathBuilder(system, fs_level=True).solve(transfers)
+            got = dict(zip(result.flow_names, result.rates))
+            want = dict(zip(fresh.flow_names, fresh.rates))
+            assert got.keys() == want.keys()
+            for name, rate in want.items():
+                assert got[name] == pytest.approx(rate, rel=1e-9), name
+            cached = builder.solve_counts["cached"]
+            builder.resolve(transfers)  # nothing changed since
+            assert builder.solve_counts["cached"] == cached + 1
+        assert moved_steps >= 20  # the diff had real work to do
+        assert builder.solve_counts["full"] == 1  # never rebuilt

@@ -338,23 +338,32 @@ def test_every_bench_record_has_a_reproduce_command():
         f"docs/PERFORMANCE.md §5 has no reproduce command for {missing}")
 
 
-def test_storm_hot_path_names_live_symbols():
-    """docs/PERFORMANCE.md §7 names the storm hot path's code as
+#: docs/PERFORMANCE.md sections that name a hot path's code symbols
+HOT_PATH_SECTIONS = {
+    "7": "the storm hot path",
+    "8": "the fault-week rebuild path",
+}
+
+
+def test_hot_path_sections_name_live_symbols():
+    """Each hot-path section of docs/PERFORMANCE.md names its code as
     ``path/to/module.py::Symbol``; every one must still exist, so a
-    rename cannot leave the section describing code that is gone."""
+    rename cannot leave a section describing code that is gone."""
     import importlib
     import re
 
     performance = (REPO / "docs" / "PERFORMANCE.md").read_text()
-    match = re.search(r"^## 7\..*?(?=^## |\Z)", performance, re.M | re.S)
-    assert match, "docs/PERFORMANCE.md lost §7 (the storm hot path)"
-    refs = re.findall(r"`([\w/]+)\.py::([\w.]+)`", match.group(0))
-    assert len(refs) >= 4, "§7 should name the hot path's code symbols"
     missing = []
-    for path, symbol in refs:
-        obj = importlib.import_module("repro." + path.replace("/", "."))
-        for attr in symbol.split("."):
-            obj = getattr(obj, attr, None)
-        if obj is None:
-            missing.append(f"{path}.py::{symbol}")
-    assert not missing, f"§7 names symbol(s) that do not exist: {missing}"
+    for number, title in HOT_PATH_SECTIONS.items():
+        match = re.search(rf"^## {number}\..*?(?=^## |\Z)", performance,
+                          re.M | re.S)
+        assert match, f"docs/PERFORMANCE.md lost §{number} ({title})"
+        refs = re.findall(r"`([\w/]+)\.py::([\w.]+)`", match.group(0))
+        assert len(refs) >= 4, f"§{number} should name its code symbols"
+        for path, symbol in refs:
+            obj = importlib.import_module("repro." + path.replace("/", "."))
+            for attr in symbol.split("."):
+                obj = getattr(obj, attr, None)
+            if obj is None:
+                missing.append(f"§{number}: {path}.py::{symbol}")
+    assert not missing, f"symbol(s) that do not exist: {missing}"

@@ -1,5 +1,7 @@
 """LNET routing policy tests: FGR vs round robin."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.network.lnet import (
     RouterInfo,
     RoundRobinRouting,
 )
+from repro.network.routing import FlowletRouting
 from repro.network.torus import Torus3D, TorusSpec
 
 
@@ -140,3 +143,168 @@ class TestTieBreakOrderInvariance:
         # Pure tie at every step: the name key alternates a-b-a-b...,
         # never whichever happened to be inserted first.
         assert picks == ["ra", "rb"] * 3
+
+
+# -- the route table against the per-call numpy zone ------------------------------
+
+def numpy_zone(config, client, dst_leaf, slack):
+    """The zone as FGR computed it on every call before the route table:
+    live leaf routers by list position, numpy hop counts, a distance
+    cutoff, sorted by (distance, name).  The oracle for
+    :meth:`LnetConfig.zone`."""
+    candidates = [i for i, r in enumerate(config.routers)
+                  if r.leaf == dst_leaf and config.router_online(r.name)]
+    if not candidates:
+        raise LookupError(f"no router serves leaf {dst_leaf}")
+    dists = config.torus.distances_from(
+        client, config.router_coords()[candidates])
+    near_mask = dists <= dists.min() + slack
+    return sorted((int(dists[i]), config.routers[candidates[i]].name,
+                   candidates[i]) for i in np.flatnonzero(near_mask))
+
+
+class NumpyFgr:
+    """FGR's former numpy ``select_router``, kept as the test oracle."""
+
+    def __init__(self, config, slack=4):
+        self.config = config
+        self.slack = slack
+        self._load = np.zeros(len(config.routers), dtype=np.int64)
+
+    def select_router(self, client, dst_leaf):
+        zone = numpy_zone(self.config, client, dst_leaf, self.slack)
+        _load, _dist, _name, pick = min(
+            (int(self._load[i]), d, name, i) for d, name, i in zone)
+        self._load[pick] += 1
+        return self.config.routers[pick]
+
+
+def fresh_config(config, routers=None):
+    """A new LnetConfig over the same topology (all routers online), so a
+    test can flip liveness without touching a shared system."""
+    return LnetConfig(config.torus, config.fabric,
+                      list(config.routers if routers is None else routers))
+
+
+def random_mask(config, rng, p_down=0.3):
+    for r in config.routers:
+        config.set_router_online(r.name, bool(rng.random() >= p_down))
+
+
+def random_queries(config, rng, n):
+    dims = config.torus.dims
+    leaves = sorted({r.leaf for r in config.routers})
+    return [(tuple(int(rng.integers(0, d)) for d in dims),
+             int(rng.choice(leaves))) for _ in range(n)]
+
+
+def selection_trace(policy, queries):
+    """Router names picked for ``queries`` in order; ``None`` where no
+    live router serves the leaf."""
+    picks = []
+    for client, leaf in queries:
+        try:
+            picks.append(policy.select_router(client, leaf).name)
+        except LookupError:
+            picks.append(None)
+    return picks
+
+
+@pytest.fixture(params=["mini", "spider2"])
+def system_lnet(request, mini_system, spider2_session):
+    """A private LnetConfig over the mini system or Spider II."""
+    system = mini_system if request.param == "mini" else spider2_session
+    return fresh_config(system.lnet)
+
+
+class TestRouteTable:
+    """:meth:`LnetConfig.zone` and the table-backed FGR against the
+    per-call numpy computation they replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fgr_matches_numpy_oracle_under_random_masks(self, system_lnet,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        fgr = FineGrainedRouting(system_lnet)
+        oracle = NumpyFgr(system_lnet)
+        # Loads evolve across masks: neither policy is reset between
+        # rounds, so every pick depends on the whole history.
+        for _round in range(4):
+            random_mask(system_lnet, rng)
+            queries = random_queries(system_lnet, rng, 150)
+            # Repeat the queries so zones are read from the table, not
+            # just filled.
+            queries = queries + queries
+            assert selection_trace(fgr, queries) == \
+                selection_trace(oracle, queries)
+
+    @pytest.mark.parametrize("slack", [0, 4, math.inf])
+    def test_zone_matches_numpy_oracle(self, system_lnet, slack):
+        rng = np.random.default_rng(11)
+        random_mask(system_lnet, rng)
+        for client, leaf in random_queries(system_lnet, rng, 200):
+            try:
+                want = numpy_zone(system_lnet, client, leaf, slack)
+            except LookupError:
+                with pytest.raises(LookupError):
+                    system_lnet.zone(client, leaf, slack)
+                continue
+            assert list(system_lnet.zone(client, leaf, slack)) == want
+
+    def test_permuted_router_list(self, system_lnet):
+        rng = np.random.default_rng(5)
+        queries = random_queries(system_lnet, rng, 300)
+        want = selection_trace(FineGrainedRouting(system_lnet), queries)
+        order = rng.permutation(len(system_lnet.routers))
+        permuted = fresh_config(
+            system_lnet, [system_lnet.routers[i] for i in order])
+        assert selection_trace(NumpyFgr(permuted), queries) == want
+        assert selection_trace(FineGrainedRouting(permuted), queries) == want
+
+    def test_flowlet_zone_reads_the_shared_table(self, system_lnet):
+        policy = FlowletRouting(system_lnet)
+        rng = np.random.default_rng(3)
+        random_mask(system_lnet, rng, p_down=0.2)
+        for client, leaf in random_queries(system_lnet, rng, 100):
+            for slack in (policy.spec.slack, math.inf):
+                try:
+                    want = numpy_zone(system_lnet, client, leaf, slack)
+                except LookupError:
+                    continue
+                kwargs = {} if slack == policy.spec.slack else {"slack": slack}
+                assert policy._zone(client, leaf, **kwargs) == \
+                    [i for _d, _n, i in want]
+                assert policy._zone(client, leaf, **kwargs) == \
+                    [i for _d, _n, i in system_lnet.zone(client, leaf, slack)]
+
+    def test_router_flip_invalidates_only_on_change(self, config):
+        client, leaf = (1, 1, 1), 0
+        zone = config.zone(client, leaf, math.inf)
+        assert [name for _d, name, _i in zone] == ["r0", "r1"]
+        config.set_router_online("r0", True)  # already up: no flip
+        config.set_router_online("r2", False)  # another leaf's router
+        assert config.zone(client, leaf, math.inf) is zone
+        config.set_router_online("r0", False)
+        assert [name for _d, name, _i in
+                config.zone(client, leaf, math.inf)] == ["r1"]
+        config.set_router_online("r0", True)
+        config.set_router_online("r2", True)
+        restored = config.zone(client, leaf, math.inf)
+        assert restored == zone
+        assert restored == fresh_config(config).zone(client, leaf, math.inf)
+
+    def test_router_down_and_up_matches_fresh_config(self, system_lnet):
+        rng = np.random.default_rng(9)
+        queries = random_queries(system_lnet, rng, 200)
+        before = [system_lnet.zone(c, leaf, 4) for c, leaf in queries]
+        victim = before[0][0][1]  # the nearest router of the first zone
+        system_lnet.set_router_online(victim, False)
+        for c, leaf in queries:
+            now = system_lnet.zone(c, leaf, 4)
+            assert victim not in [name for _d, name, _i in now]
+            assert list(now) == numpy_zone(system_lnet, c, leaf, 4)
+        system_lnet.set_router_online(victim, True)
+        fresh = fresh_config(system_lnet)
+        for (c, leaf), zone in zip(queries, before):
+            assert system_lnet.zone(c, leaf, 4) == zone
+            assert system_lnet.zone(c, leaf, 4) == fresh.zone(c, leaf, 4)
