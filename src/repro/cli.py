@@ -362,6 +362,38 @@ def _check_fault_window(args) -> None:
         raise CliError("--duration must be positive")
 
 
+def _scenario_plan(args):
+    """The ``--scenario`` choice shared by the campaign studies:
+    ``(plan_factory, duration)`` for the §IV-A cable scenario on its own
+    horizon, or for a seeded random plan over ``--duration``."""
+    from repro.faults import FaultPlan, cable_failure_scenario
+
+    if args.scenario == "cable":
+        return cable_failure_scenario, None
+
+    def plan_factory(system):
+        return FaultPlan.random(system, duration=args.duration,
+                                n_faults=args.faults, seed=args.seed)
+
+    return plan_factory, args.duration
+
+
+def _print_paired(result, title: str, headline_title: str, headline,
+                  columns=None, details=()) -> None:
+    """Print a paired study: its metric-by-arm table (columns named after
+    the arms unless ``columns`` is given), a blank line, any ``details``
+    blocks each followed by a blank line, then the headline key/value
+    block."""
+    from repro.analysis.reporting import render_kv, render_table
+
+    if columns is None:
+        columns = [arm.name for arm in result.arms]
+    print(render_table(["metric", *columns], result.rows(), title=title))
+    for block in (*details, render_kv(headline, title=headline_title)):
+        print()
+        print(block)
+
+
 def _check_threshold(args) -> None:
     """Reject a degradation threshold outside (0, 1), NaN included,
     before any system is built."""
@@ -452,22 +484,12 @@ def _cmd_chaos(args) -> int:
 def _cmd_resilience(args) -> int:
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import build_spider2
-    from repro.faults import FaultPlan, cable_failure_scenario
     from repro.resilience import run_paired_study
 
     _check_fault_window(args)
     _check_threshold(args)
     seed = args.seed
-    if args.scenario == "cable":
-        plan_factory = cable_failure_scenario
-        duration = None
-    else:
-        duration = args.duration
-
-        def plan_factory(system):
-            return FaultPlan.random(system, duration=args.duration,
-                                    n_faults=args.faults, seed=seed)
-
+    plan_factory, duration = _scenario_plan(args)
     with _tracing(args.trace):
         result = run_paired_study(
             lambda: build_spider2(seed=seed),
@@ -475,16 +497,13 @@ def _cmd_resilience(args) -> int:
             seed=seed,
             duration=duration,
             threshold=args.threshold)
-        print(render_table(
-            ["metric", "manual", "automated", "standard-recovery"],
-            result.rows(),
-            title=f"Manual vs closed-loop remediation ({args.scenario})"))
-        print()
-        print(render_kv([
-            ("blackout reduction",
-             f"{result.blackout_reduction_seconds:,.0f} s"),
-            ("availability gain", f"{result.availability_gain:+.4%}"),
-        ], title="Automated vs manual delta"))
+        _print_paired(
+            result, f"Manual vs closed-loop remediation ({args.scenario})",
+            "Automated vs manual delta", [
+                ("blackout reduction",
+                 f"{result.blackout_reduction_seconds:,.0f} s"),
+                ("availability gain", f"{result.availability_gain:+.4%}"),
+            ])
         outcome = result.automated.remediation
         if outcome is not None:
             print()
@@ -502,7 +521,7 @@ def _cmd_resilience(args) -> int:
 def _cmd_monitor(args) -> int:
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import build_spider2
-    from repro.faults import FaultCampaign, FaultPlan, cable_failure_scenario
+    from repro.faults import FaultCampaign
     from repro.obs.overlay import (
         MonitoringOverlay,
         OverlayConfig,
@@ -524,16 +543,7 @@ def _cmd_monitor(args) -> int:
         raise CliError(str(exc)) from exc
 
     seed = args.seed
-    if args.scenario == "cable":
-        plan_factory = cable_failure_scenario
-        duration = None
-    else:
-        duration = args.duration
-
-        def plan_factory(system):
-            return FaultPlan.random(system, duration=args.duration,
-                                    n_faults=args.faults, seed=seed)
-
+    plan_factory, duration = _scenario_plan(args)
     with _tracing(args.trace):
         if args.study:
             result = run_mttd_study(
@@ -543,17 +553,14 @@ def _cmd_monitor(args) -> int:
                 duration=duration,
                 threshold=args.threshold,
                 base=config)
-            print(render_table(
-                ["metric", "analytic", "observed", "tight"],
-                result.rows(),
-                title=f"Analytic vs observed detection ({args.scenario})"))
-            print()
-            print(render_kv([
-                ("monitoring-pipeline MTTD penalty",
-                 f"{result.observed_penalty_seconds:+,.1f} s"),
-                ("cadence/fan-in tightening gain",
-                 f"{result.tightening_gain_seconds:,.1f} s"),
-            ], title="Observed vs analytic deltas"))
+            _print_paired(
+                result, f"Analytic vs observed detection ({args.scenario})",
+                "Observed vs analytic deltas", [
+                    ("monitoring-pipeline MTTD penalty",
+                     f"{result.observed_penalty_seconds:+,.1f} s"),
+                    ("cadence/fan-in tightening gain",
+                     f"{result.tightening_gain_seconds:,.1f} s"),
+                ])
             return 0
 
         system = build_spider2(seed=seed)
@@ -610,35 +617,31 @@ def _cmd_meta(args) -> int:
     )
     with _tracing(args.trace):
         result = run_meta_study(spec)
-        print(render_table(
-            ["metric", "per-file (1 MDS)", f"aggregated ({spec.n_shards} MDT)"],
-            result.rows(),
-            title=f"Small-file metadata tier, {spec.n_files:,} files (A18)"))
-        print()
-        print(render_kv(result.baseline.rows(),
-                        title="Per-file baseline"))
-        print()
-        print(render_kv(result.aggregated.rows(),
-                        title="Aggregated tier (needles + DNE shards)"))
-        print()
-        print(render_table(
-            ["scheme", "raw capacity", "read bw", "rebuild"],
-            tradeoff_rows(),
-            title="Warm-tier encoding tradeoff (f4 vs RAID-6+replica)"))
-        print()
-        print(render_kv([
-            ("metadata throughput gain",
-             f"{result.throughput_gain:,.1f}x"),
-            ("MDS makespan removed",
-             f"{result.mds_seconds_removed:,.1f} s"),
-        ], title="Headline"))
+        _print_paired(
+            result, f"Small-file metadata tier, {spec.n_files:,} files (A18)",
+            "Headline", [
+                ("metadata throughput gain",
+                 f"{result.throughput_gain:,.1f}x"),
+                ("MDS makespan removed",
+                 f"{result.mds_seconds_removed:,.1f} s"),
+            ],
+            columns=["per-file (1 MDS)", f"aggregated ({spec.n_shards} MDT)"],
+            details=[
+                render_kv(result.baseline.rows(), title="Per-file baseline"),
+                render_kv(result.aggregated.rows(),
+                          title="Aggregated tier (needles + DNE shards)"),
+                render_table(
+                    ["scheme", "raw capacity", "read bw", "rebuild"],
+                    tradeoff_rows(),
+                    title="Warm-tier encoding tradeoff "
+                          "(f4 vs RAID-6+replica)"),
+            ])
     return 0
 
 
 def _cmd_storm(args) -> int:
     from dataclasses import replace
 
-    from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import SPIDER2, build_spider2
     from repro.network.storm import STORM_WINDOW, run_storm_study
 
@@ -668,19 +671,16 @@ def _cmd_storm(args) -> int:
             duration=args.duration,
             shed_fraction=args.shed,
         )
-    print(render_table(
-        ["metric", "static", "flowlet"],
-        result.rows(),
-        title="Hot-spot storm survival, static vs flowlet routing (A19)"))
-    print()
-    print(render_kv([
-        ("storm window",
-         f"{result.storm_start:,.0f}-{result.storm_end:,.0f} s of "
-         f"{result.duration:,.0f} s"),
-        ("storm clients on the row", str(result.n_storm_clients)),
-        ("torus link bandwidth", fmt_bandwidth(args.link_bw * GB)),
-        ("probe p99 recovery", f"{result.recovery_factor:,.1f}x"),
-    ], title="A19 headline"))
+    _print_paired(
+        result, "Hot-spot storm survival, static vs flowlet routing (A19)",
+        "A19 headline", [
+            ("storm window",
+             f"{result.storm_start:,.0f}-{result.storm_end:,.0f} s of "
+             f"{result.duration:,.0f} s"),
+            ("storm clients on the row", str(result.n_storm_clients)),
+            ("torus link bandwidth", fmt_bandwidth(args.link_bw * GB)),
+            ("probe p99 recovery", f"{result.recovery_factor:,.1f}x"),
+        ])
     return 0
 
 

@@ -37,6 +37,7 @@ from repro.metatier.scenarios import (
 from repro.metatier.shards import ShardedFilesystem
 from repro.obs.trace import get_tracer
 from repro.sim.engine import Engine
+from repro.study import PairedResult
 from repro.units import DAY, HOUR, KiB, MiB, TB
 
 __all__ = ["MetaStudySpec", "ArmResult", "MetaStudyResult", "run_meta_study"]
@@ -138,8 +139,16 @@ class ArmResult:
 
 
 @dataclass(frozen=True)
-class MetaStudyResult:
+class MetaStudyResult(PairedResult):
     """Per-file baseline vs aggregated tier, one seed, one timeline."""
+
+    ARMS = ("baseline", "aggregated")
+    METRICS = (
+        ("MDS busy (makespan)", lambda a: f"{a.mds_busy_makespan:,.1f} s"),
+        ("MDS ops served", lambda a: f"{a.mds_ops:,}"),
+        ("throughput", lambda a: f"{a.ops_per_mds_second:,.0f} ops/MDS-s"),
+        ("hot-pool fill", lambda a: f"{a.fill_fraction:.2%}"),
+    )
 
     spec: MetaStudySpec
     baseline: ArmResult
@@ -159,18 +168,6 @@ class MetaStudyResult:
         return (self.baseline.mds_busy_makespan
                 - self.aggregated.mds_busy_makespan)
 
-    def rows(self) -> list[tuple[str, str, str]]:
-        """Comparison rows: metric, baseline, aggregated."""
-        arms = (self.baseline, self.aggregated)
-        return [
-            ("MDS busy (makespan)",
-             *(f"{a.mds_busy_makespan:,.1f} s" for a in arms)),
-            ("MDS ops served", *(f"{a.mds_ops:,}" for a in arms)),
-            ("throughput",
-             *(f"{a.ops_per_mds_second:,.0f} ops/MDS-s" for a in arms)),
-            ("hot-pool fill", *(f"{a.fill_fraction:.2%}" for a in arms)),
-        ]
-
 
 def _make_osts(spec: MetaStudySpec) -> list[Ost]:
     ost_spec = OstSpec(capacity_bytes=spec.ost_capacity)
@@ -178,7 +175,7 @@ def _make_osts(spec: MetaStudySpec) -> list[Ost]:
             for i in range(spec.n_osts)]
 
 
-def _fault_plan(spec: MetaStudySpec) -> MetaFaultPlan:
+def _fault_plan() -> MetaFaultPlan:
     return MetaFaultPlan(faults=[
         MetaFault(time=10_000.0, kind="mds-overload", target=0,
                   magnitude=1.0),
@@ -187,9 +184,9 @@ def _fault_plan(spec: MetaStudySpec) -> MetaFaultPlan:
     ])
 
 
-def _run_arm(tier, spec: MetaStudySpec) -> tuple[int, "AuditSweep"]:
-    """Replay the standard timeline against ``tier``; returns the purge
-    total and the audit sweep (for report access)."""
+def _run_arm(tier, spec: MetaStudySpec) -> int:
+    """Replay the standard timeline against ``tier``; returns the number
+    of files the audit sweeps purged."""
     engine = Engine()
     storm = UntarStorm(
         n_files=spec.n_files,
@@ -212,12 +209,11 @@ def _run_arm(tier, spec: MetaStudySpec) -> tuple[int, "AuditSweep"]:
                        interval=spec.audit_interval)
     audit.install(engine, tier)
     if spec.with_faults:
-        _fault_plan(spec).install(engine, tier)
+        _fault_plan().install(engine, tier)
     with get_tracer().span(f"meta:arm:{tier.name}", "metatier",
                            files=spec.n_files):
         engine.run(until=spec.horizon)
-    purged = sum(r.purged for r in audit.reports)
-    return purged, audit
+    return sum(r.purged for r in audit.reports)
 
 
 def run_meta_study(spec: MetaStudySpec | None = None) -> MetaStudyResult:
@@ -232,7 +228,7 @@ def run_meta_study(spec: MetaStudySpec | None = None) -> MetaStudyResult:
     base_fs = LustreFilesystem("meta-base", _make_osts(spec),
                                default_stripe_count=1)
     base_tier = PerFileTier(base_fs)
-    base_purged, _ = _run_arm(base_tier, spec)
+    base_purged = _run_arm(base_tier, spec)
     baseline = ArmResult(
         name=base_tier.name,
         n_creates=base_tier.logical_creates,
@@ -260,7 +256,7 @@ def run_meta_study(spec: MetaStudySpec | None = None) -> MetaStudyResult:
         migrate_age=spec.migrate_age,
         seed=spec.seed,
     )
-    agg_purged, _ = _run_arm(agg_tier, spec)
+    agg_purged = _run_arm(agg_tier, spec)
     aggregated = ArmResult(
         name=agg_tier.name,
         n_creates=agg_tier.logical_creates,

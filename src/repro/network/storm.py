@@ -48,6 +48,7 @@ from repro.obs.overlay.config import OverlayConfig
 from repro.obs.overlay.runtime import MonitoringOverlay
 from repro.obs.overlay.scraper import routing_probes
 from repro.sim.engine import Engine
+from repro.study import PairedResult
 from repro.units import GB
 
 if TYPE_CHECKING:
@@ -120,25 +121,23 @@ class StormArm:
     backpressure_engagements: int
     samples: tuple[StormSample, ...]
 
-    def rows(self) -> list[tuple[str, str]]:
-        """Key/value rows for the CLI report."""
-        return [
-            ("routing policy", self.policy),
-            ("probe latency p50", f"{self.latency_p50:,.2f} s"),
-            ("probe latency p99", f"{self.latency_p99:,.2f} s"),
-            ("probe rate floor", f"{self.min_probe_rate / GB:,.3f} GB/s"),
-            ("peak victim-link utilization", f"{self.peak_victim_util:.2f}"),
-            ("flowlet re-hashes", str(self.rehashes)),
-            ("stale feed reads", str(self.stale_reads)),
-            ("full re-solves", str(self.full_solves)),
-            ("backpressure engagements",
-             str(self.backpressure_engagements)),
-        ]
-
 
 @dataclass(frozen=True)
-class StormStudyResult:
+class StormStudyResult(PairedResult):
     """Paired same-seed storm timeline: static vs flowlet."""
+
+    ARMS = ("static", "flowlet")
+    METRICS = (
+        ("probe latency p50", lambda a: f"{a.latency_p50:,.2f} s"),
+        ("probe latency p99", lambda a: f"{a.latency_p99:,.2f} s"),
+        ("probe rate floor", lambda a: f"{a.min_probe_rate / GB:,.3f} GB/s"),
+        ("peak victim-link utilization",
+         lambda a: f"{a.peak_victim_util:.2f}"),
+        ("flowlet re-hashes", lambda a: str(a.rehashes)),
+        ("full re-solves", lambda a: str(a.full_solves)),
+        ("backpressure engagements",
+         lambda a: str(a.backpressure_engagements)),
+    )
 
     seed: int
     duration: float
@@ -155,22 +154,6 @@ class StormStudyResult:
         if self.flowlet.latency_p99 <= 0:
             return math.inf
         return self.static.latency_p99 / self.flowlet.latency_p99
-
-    def rows(self) -> list[tuple[str, str, str]]:
-        """Comparison table rows: metric, static, flowlet."""
-        arms = (self.static, self.flowlet)
-        return [
-            ("probe latency p50", *(f"{a.latency_p50:,.2f} s" for a in arms)),
-            ("probe latency p99", *(f"{a.latency_p99:,.2f} s" for a in arms)),
-            ("probe rate floor",
-             *(f"{a.min_probe_rate / GB:,.3f} GB/s" for a in arms)),
-            ("peak victim-link utilization",
-             *(f"{a.peak_victim_util:.2f}" for a in arms)),
-            ("flowlet re-hashes", *(str(a.rehashes) for a in arms)),
-            ("full re-solves", *(str(a.full_solves) for a in arms)),
-            ("backpressure engagements",
-             *(str(a.backpressure_engagements) for a in arms)),
-        ]
 
 
 def _storm_row(system: "SpiderSystem") -> tuple[int, int]:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.resilience.playbooks import RemediationPolicy
+from repro.study import PairedResult, campaign_arm
 
 from repro.obs.overlay.config import OverlayConfig
-from repro.obs.overlay.runtime import MonitoringOverlay, OverlayOutcome
+from repro.obs.overlay.runtime import OverlayOutcome
 
 if TYPE_CHECKING:
     from repro.core.spider import SpiderSystem
@@ -46,25 +47,19 @@ class MttdArm:
     n_faults: int
     overlay: OverlayOutcome | None = None
 
-    def rows(self) -> list[tuple[str, str]]:
-        """Key/value rows for the CLI report."""
-        rows = [
-            ("scrape/poll interval", f"{self.scrape_interval:,.1f} s"),
-            ("tree depth", str(self.tree_depth) if self.tree_depth else "—"),
-            ("mean MTTD", f"{self.mean_mttd_seconds:,.1f} s"),
-            ("mean MTTR", f"{self.mean_mttr_seconds:,.1f} s"),
-            ("availability", f"{self.availability:.3%}"),
-        ]
-        if self.overlay is not None:
-            rows.append(("batches sent / lost",
-                         f"{self.overlay.n_batches} / {self.overlay.n_lost}"))
-            rows.append(("alerts fired", str(len(self.overlay.alerts))))
-        return rows
-
 
 @dataclass(frozen=True)
-class MttdStudyResult:
+class MttdStudyResult(PairedResult):
     """Analytic vs observed vs tightened-overlay detection, one seed."""
+
+    ARMS = ("analytic", "observed", "tight")
+    METRICS = (
+        ("scrape/poll interval", lambda a: f"{a.scrape_interval:,.1f} s"),
+        ("tree depth", lambda a: str(a.tree_depth) if a.tree_depth else "—"),
+        ("mean MTTD", lambda a: f"{a.mean_mttd_seconds:,.1f} s"),
+        ("mean MTTR", lambda a: f"{a.mean_mttr_seconds:,.1f} s"),
+        ("availability", lambda a: f"{a.availability:.3%}"),
+    )
 
     seed: int
     analytic: MttdArm
@@ -82,59 +77,6 @@ class MttdStudyResult:
         """MTTD removed by tightening cadence and fan-in."""
         return (self.observed.mean_mttd_seconds
                 - self.tight.mean_mttd_seconds)
-
-    def rows(self) -> list[tuple[str, str, str, str]]:
-        """Comparison table rows: metric, analytic, observed, tight."""
-        arms = (self.analytic, self.observed, self.tight)
-        return [
-            ("scrape/poll interval",
-             *(f"{a.scrape_interval:,.1f} s" for a in arms)),
-            ("tree depth",
-             *(str(a.tree_depth) if a.tree_depth else "—" for a in arms)),
-            ("mean MTTD", *(f"{a.mean_mttd_seconds:,.1f} s" for a in arms)),
-            ("mean MTTR", *(f"{a.mean_mttr_seconds:,.1f} s" for a in arms)),
-            ("availability", *(f"{a.availability:.3%}" for a in arms)),
-        ]
-
-
-def _arm(
-    name: str,
-    system_factory: "Callable[[], SpiderSystem]",
-    plan_factory: "Callable[[SpiderSystem], FaultPlan]",
-    *,
-    duration: float | None,
-    threshold: float,
-    policy: RemediationPolicy,
-    config: OverlayConfig | None,
-) -> MttdArm:
-    # Imported lazily to keep the overlay package import-light; the
-    # campaign itself lazy-imports the resilience runner the same way.
-    from repro.faults.campaign import FaultCampaign
-
-    system = system_factory()
-    plan = plan_factory(system)
-    monitor = (MonitoringOverlay(system, config)
-               if config is not None else None)
-    result = FaultCampaign(
-        system, plan,
-        duration=duration,
-        threshold=threshold,
-        remediation=policy,
-        monitor=monitor,
-    ).run()
-    remediation = result.remediation
-    assert remediation is not None
-    return MttdArm(
-        name=name,
-        scrape_interval=(config.scrape_interval if config is not None
-                         else policy.detection.poll_interval),
-        tree_depth=monitor.tree.max_depth if monitor is not None else 0,
-        mean_mttd_seconds=remediation.mean_mttd_seconds,
-        mean_mttr_seconds=remediation.mean_mttr_seconds,
-        availability=result.availability,
-        n_faults=remediation.n_faults,
-        overlay=result.overlay,
-    )
 
 
 def run_mttd_study(
@@ -163,15 +105,29 @@ def run_mttd_study(
     if base is None:
         base = OverlayConfig(seed=seed)
     policy = RemediationPolicy(imperative=True, hp_journaling=True, seed=seed)
-    analytic = _arm(
-        "analytic", system_factory, plan_factory,
-        duration=duration, threshold=threshold, policy=policy, config=None)
-    observed = _arm(
-        "observed", system_factory, plan_factory,
-        duration=duration, threshold=threshold, policy=policy, config=base)
-    tight = _arm(
-        "tight", system_factory, plan_factory,
-        duration=duration, threshold=threshold, policy=policy,
-        config=base.tightened())
+
+    def arm(name: str, config: OverlayConfig | None) -> MttdArm:
+        result = campaign_arm(
+            system_factory, plan_factory,
+            duration=duration, threshold=threshold,
+            remediation=policy, overlay=config)
+        remediation, overlay = result.remediation, result.overlay
+        assert remediation is not None
+        return MttdArm(
+            name=name,
+            scrape_interval=(config.scrape_interval if config is not None
+                             else policy.detection.poll_interval),
+            tree_depth=overlay.tree_depth if overlay is not None else 0,
+            mean_mttd_seconds=remediation.mean_mttd_seconds,
+            mean_mttr_seconds=remediation.mean_mttr_seconds,
+            availability=result.availability,
+            n_faults=remediation.n_faults,
+            overlay=overlay,
+        )
+
     return MttdStudyResult(
-        seed=seed, analytic=analytic, observed=observed, tight=tight)
+        seed=seed,
+        analytic=arm("analytic", None),
+        observed=arm("observed", base),
+        tight=arm("tight", base.tightened()),
+    )

@@ -18,9 +18,10 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.resilience.playbooks import RemediationPolicy
 from repro.resilience.runner import RemediationOutcome
+from repro.study import PairedResult, campaign_arm
 
 if TYPE_CHECKING:
-    from repro.core.system import SpiderSystem
+    from repro.core.spider import SpiderSystem
     from repro.faults.plan import FaultPlan
 
 __all__ = ["StudyArm", "PairedStudyResult", "run_paired_study"]
@@ -38,25 +39,19 @@ class StudyArm:
     n_repaired: int
     remediation: RemediationOutcome | None = None
 
-    def rows(self) -> list[tuple[str, str]]:
-        """Key/value rows for the CLI report."""
-        rows = [
-            ("availability", f"{self.availability:.3%}"),
-            ("blackout", f"{self.blackout_seconds:,.0f} s"),
-            ("faults injected / repaired",
-             f"{self.n_injected} / {self.n_repaired}"),
-        ]
-        if self.remediation is not None:
-            rows.append(("mean MTTD",
-                         f"{self.remediation.mean_mttd_seconds:,.1f} s"))
-            rows.append(("mean MTTR",
-                         f"{self.remediation.mean_mttr_seconds:,.1f} s"))
-        return rows
-
 
 @dataclass(frozen=True)
-class PairedStudyResult:
+class PairedStudyResult(PairedResult):
     """Manual vs automated vs standard-recovery ablation, one seed."""
+
+    ARMS = ("manual", "automated", "standard")
+    METRICS = (
+        ("availability", lambda a: f"{a.availability:.3%}"),
+        ("blackout", lambda a: f"{a.blackout_seconds:,.0f} s"),
+        ("mean MTTR", lambda a: (
+            "—" if a.remediation is None
+            else f"{a.remediation.mean_mttr_seconds:,.1f} s")),
+    )
 
     seed: int
     manual: StudyArm
@@ -72,50 +67,6 @@ class PairedStudyResult:
     def availability_gain(self) -> float:
         """Availability delta, automated minus manual."""
         return self.automated.availability - self.manual.availability
-
-    def rows(self) -> list[tuple[str, str, str, str]]:
-        """Comparison table rows: metric, manual, automated, standard."""
-        arms = (self.manual, self.automated, self.standard)
-        rows = [
-            ("availability", *(f"{a.availability:.3%}" for a in arms)),
-            ("blackout",
-             *(f"{a.blackout_seconds:,.0f} s" for a in arms)),
-            ("mean MTTR", *(
-                "—" if a.remediation is None
-                else f"{a.remediation.mean_mttr_seconds:,.1f} s"
-                for a in arms)),
-        ]
-        return rows
-
-
-def _arm(
-    name: str,
-    system_factory: "Callable[[], SpiderSystem]",
-    plan_factory: "Callable[[SpiderSystem], FaultPlan]",
-    *,
-    duration: float | None,
-    threshold: float,
-    remediation: RemediationPolicy | None,
-) -> StudyArm:
-    from repro.faults.campaign import FaultCampaign
-
-    system = system_factory()
-    plan = plan_factory(system)
-    result = FaultCampaign(
-        system, plan,
-        duration=duration,
-        threshold=threshold,
-        remediation=remediation,
-    ).run()
-    return StudyArm(
-        name=name,
-        availability=result.availability,
-        blackout_seconds=result.total_blackout_seconds(),
-        worst_bw=result.worst_bw,
-        n_injected=result.n_injected,
-        n_repaired=result.n_repaired,
-        remediation=result.remediation,
-    )
 
 
 def run_paired_study(
@@ -139,18 +90,25 @@ def run_paired_study(
             :class:`~repro.faults.campaign.FaultCampaign`.
         threshold: degradation threshold for the availability metrics.
     """
-    manual = _arm(
-        "manual", system_factory, plan_factory,
-        duration=duration, threshold=threshold, remediation=None)
-    automated = _arm(
-        "automated", system_factory, plan_factory,
-        duration=duration, threshold=threshold,
-        remediation=RemediationPolicy(
-            imperative=True, hp_journaling=True, seed=seed))
-    standard = _arm(
-        "standard-recovery", system_factory, plan_factory,
-        duration=duration, threshold=threshold,
-        remediation=RemediationPolicy(
-            imperative=False, hp_journaling=False, seed=seed))
+    def arm(name: str, remediation: RemediationPolicy | None) -> StudyArm:
+        result = campaign_arm(
+            system_factory, plan_factory,
+            duration=duration, threshold=threshold, remediation=remediation)
+        return StudyArm(
+            name=name,
+            availability=result.availability,
+            blackout_seconds=result.total_blackout_seconds(),
+            worst_bw=result.worst_bw,
+            n_injected=result.n_injected,
+            n_repaired=result.n_repaired,
+            remediation=result.remediation,
+        )
+
     return PairedStudyResult(
-        seed=seed, manual=manual, automated=automated, standard=standard)
+        seed=seed,
+        manual=arm("manual", None),
+        automated=arm("automated", RemediationPolicy(
+            imperative=True, hp_journaling=True, seed=seed)),
+        standard=arm("standard-recovery", RemediationPolicy(
+            imperative=False, hp_journaling=False, seed=seed)),
+    )

@@ -1,8 +1,13 @@
 """CLI tests: every subcommand runs and prints its report."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: reports pinned byte for byte, one file per command line
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParser:
@@ -155,6 +160,22 @@ class TestResilienceCommand:
                  if e.get("cat") == "recovery"}
         assert {"recovery:reconnect-window", "recovery:replay",
                 "recovery:reroute"} <= names
+
+
+class TestPairedStudyGolden:
+    """The paired-study reports, table and headline alike, byte for byte.
+    The storm study is left out: its fixed 1,200-6,600 s window makes
+    even its smallest run too slow for tier-1."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["resilience"], "resilience_cable.txt"),
+        (["monitor", "--study", "--scenario", "random", "--faults", "1",
+          "--duration", "3600"], "monitor_study_random.txt"),
+    ], ids=["resilience", "monitor-study-random"])
+    def test_stdout_matches_golden(self, argv, golden, capsys):
+        assert main(argv) == 0
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
 
 class TestSched:

@@ -486,25 +486,6 @@ class TestScenariosAndStudy:
         with pytest.raises(ValueError):
             MetaFault(time=-1.0, kind="ost-fill")
 
-    def test_study_same_seed_is_equal(self):
-        first = run_meta_study(self.small())
-        again = run_meta_study(self.small())
-        assert first == again
-
-    def test_study_different_seed_differs(self):
-        a = run_meta_study(self.small(seed=1))
-        b = run_meta_study(self.small(seed=2))
-        assert a != b
-
-    def test_study_telemetry_on_off_is_bit_identical(self):
-        plain = run_meta_study(self.small())
-        telemetry = Telemetry(enabled=True)
-        with use_telemetry(telemetry):
-            instrumented = run_meta_study(self.small())
-        assert instrumented == plain
-        names = {c.name for c in telemetry.counters()}
-        assert "metatier.needle_writes" in names
-
     def test_aggregated_tier_beats_baseline_by_10x(self):
         result = run_meta_study(self.small(with_faults=False))
         assert result.throughput_gain >= 10.0

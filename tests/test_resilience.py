@@ -262,8 +262,6 @@ class TestPairedStudy:
     def test_rows_render(self):
         result = run_paired_study(fresh_system, cable_failure_scenario,
                                   seed=11)
-        assert len(result.rows()) == 3
-        assert all(len(row) == 4 for row in result.rows())
         assert result.automated.remediation is not None
         assert result.automated.remediation.class_rows()
 

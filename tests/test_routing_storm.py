@@ -21,7 +21,6 @@ from repro.network.storm import (
     run_storm_study,
 )
 from repro.network.torus import AXIS_ORDERS, Torus3D
-from repro.obs.instruments import Telemetry, use_telemetry
 from repro.units import GB
 
 
@@ -124,28 +123,13 @@ class TestStormHeadline:
         assert study.flowlet.full_solves > study.static.full_solves
 
     def test_rows_are_renderable(self, study):
-        rows = study.rows()
-        assert all(len(r) == 3 for r in rows)
-        for arm in (study.static, study.flowlet):
-            assert all(len(r) == 2 for r in arm.rows())
+        rows = {label: cells for label, *cells in study.rows()}
+        assert rows["probe latency p99"] == [
+            f"{arm.latency_p99:,.2f} s" for arm in (study.static,
+                                                     study.flowlet)]
 
 
 class TestDeterminism:
-    def test_same_seed_results_compare_equal(self):
-        assert quick_study() == quick_study()
-
-    def test_different_seed_differs(self):
-        a = quick_study(seed=1)
-        b = quick_study(seed=2)
-        assert a != b
-
-    def test_bit_identical_with_telemetry_on_or_off(self):
-        with use_telemetry(Telemetry(enabled=True)):
-            on = quick_study()
-        with use_telemetry(Telemetry(enabled=False)):
-            off = quick_study()
-        assert on == off
-
     def test_result_is_a_plain_value(self):
         study = quick_study()
         assert isinstance(study, StormStudyResult)
